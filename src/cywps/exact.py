@@ -3,9 +3,15 @@
 Everything downstream (polytopes, volumes, Euler numbers) is computed over
 exact rationals; there is no floating point anywhere in the package.  The
 rational type is the stdlib ``fractions.Fraction`` (always reduced,
-denominator >= 1), re-exported here as ``Rational``.  Matrices are tiny
-(dimension <= 7), so the Smith normal form and the elimination helpers favour
-clarity over asymptotics.
+denominator >= 1), re-exported here as ``Rational``.
+
+Every row reduction in the package goes through one integer kernel,
+``echelon``: it clears each row's denominators once, at entry, and then
+runs fraction-free Gauss-Jordan elimination, dividing each updated row by its
+content so the entries stay small.  Rank, nullspace, solve and unimodular
+inverse are thin readings of its output; determinants use the Bareiss
+elimination in ``IntMatrix.det``.  ``Fraction`` appears only in results.
+The Smith normal form is separate, because it needs unimodular transforms.
 """
 
 from __future__ import annotations
@@ -32,10 +38,6 @@ def format_rational(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
 
 
 @dataclass(frozen=True)
@@ -71,27 +73,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        rows = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            rows.append(
-                [
-                    sum(ri[k] * other.at(k, j) for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
-        return IntMatrix.from_rows(rows)
-
     def det(self) -> int:
         """Exact determinant by fraction-free Bareiss elimination."""
         if self.rows != self.cols:
@@ -117,9 +98,6 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -222,129 +200,101 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return U, S, V
 
 
+# -- the elimination kernel and its readings ------------------------------------
+
+
+def _scaled(row: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """(m, m * row) with m the lcm of the row's denominators, so m * row is integral."""
+    m = math.lcm(*(x.denominator for x in row))
+    return m, [x.numerator * (m // x.denominator) for x in row]
+
+
+def echelon(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over the integers, without fractions.
+
+    Returns ``(reduced, pivots)``: one integer row per pivot, in pivot order.
+    Row i is positive in column ``pivots[i]`` and zero in every other pivot
+    column, so over Q it is the i-th row of the reduced echelon form times
+    that entry.  The pivots are the first linearly independent columns.
+    """
+    work = [r for _, r in map(_scaled, rows) if any(r)]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        if work[r][col] < 0:
+            work[r] = [-x for x in work[r]]
+        prow = work[r]
+        p = prow[col]
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    return work[: len(pivots)], pivots
+
+
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
     if m.rows != m.cols:
         raise ValueError("not square")
     n = m.rows
-    a = [[Fraction(m.at(i, j)) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = a[i][n + j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(x.numerator)
-        out.append(row)
-    return IntMatrix.from_rows(out)
-
-
-# -- rational elimination helpers used by the polytope engine -----------------
-
-Vec = tuple  # coordinates are int or Fraction
+    ident = IntMatrix.identity(n)
+    reduced, pivots = echelon([m.row(i) + ident.row(i) for i in range(n)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    # each row of [M | I] and of its updates is primitive, so row i ends as
+    # p * (e_i | i-th row of M^-1) with p = 1 exactly when that row is integral
+    if any(row[i] != 1 for i, row in enumerate(reduced)):
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix.from_rows([row[n:] for row in reduced])
 
 
 def rat_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    work = [list(map(Fraction, r)) for r in rows if any(r)]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        inv = 1 / prow[col]
-        work[rank] = [x * inv for x in prow]
-        prow = work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], prow)]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return len(echelon(rows)[1])
 
 
 def rat_solve(a_rows: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]):
     """Solve the square system A x = b exactly; returns None if singular."""
     n = len(a_rows)
-    a = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    reduced, pivots = echelon([[*row, rhs] for row, rhs in zip(a_rows, b)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(reduced))
 
 
-def rat_nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right nullspace {x : rows @ x = 0}."""
-    work = [list(map(Fraction, r)) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        prow = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], prow)]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+def rat_nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[tuple[int, ...]]:
+    """Basis of the right nullspace {x : rows @ x = 0}, as integer vectors."""
+    reduced, pivots = echelon(rows)
+    scale = math.lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -work[i][fc]
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [0] * ncols
+        vec[fc] = scale
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc] * (scale // row[pc])
         basis.append(tuple(vec))
     return basis
 
 
 def rat_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    n = len(rows)
-    a = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    scale = 1
+    ints = []
+    for row in rows:
+        m, r = _scaled(row)
+        scale *= m
+        ints.append(r)
+    return Fraction(IntMatrix.from_rows(ints).det(), scale)
 
 
 def primitive_vector(vec: Sequence[Fraction | int]) -> tuple[tuple[int, ...], Fraction]:

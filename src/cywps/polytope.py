@@ -25,11 +25,12 @@ from .errors import DomainError, EnumerationLimitError
 from .exact import (
     IntMatrix,
     as_exact,
+    echelon,
     format_rational,
     primitive_vector,
+    rat_det,
     rat_nullspace,
     rat_rank,
-    rat_solve,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -232,61 +233,25 @@ def _affine_dim(points: Sequence[Point]) -> int:
 
 
 def _affine_basis(points: Sequence[Point]) -> tuple[int, list[int]]:
-    """Indices (base, independents) spanning the affine hull of the points."""
-    base = 0
-    chosen: list[int] = []
-    rows: list[list[Fraction]] = []
-    n = len(points[0])
-    for i in range(1, len(points)):
-        d = [Fraction(x - b) for x, b in zip(points[i], points[base])]
-        red = d[:]
-        for r in rows:
-            piv = next(j for j, x in enumerate(r) if x != 0)
-            if red[piv] != 0:
-                f = red[piv] / r[piv]
-                red = [x - f * y for x, y in zip(red, r)]
-        if any(red):
-            rows.append(red)
-            chosen.append(i)
-            if len(chosen) == n:
-                break
-    return base, chosen
+    """Indices (base, independents) spanning the affine hull of the points;
+    the independents are the first independent differences, in input order."""
+    base = points[0]
+    _, pivots = echelon([[p[j] - base[j] for p in points[1:]] for j in range(len(base))])
+    return 0, [c + 1 for c in pivots]
 
 
 def _chart_coordinates(basis: Sequence[Point], diffs: Sequence[Point]):
-    """Coordinates of each diff in the given basis rows, or None if inconsistent."""
+    """Coordinates of each diff in the given independent basis rows, or None
+    if some diff lies outside their span."""
     k = len(basis)
-    n = len(basis[0])
-    pivots: list[int] = []
-    work = [list(map(Fraction, b)) for b in basis]
-    col = 0
-    r = 0
-    while r < k and col < n:
-        piv = next((i for i in range(r, k) if work[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(k):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        col += 1
-    square = [[basis[i][c] for i in range(k)] for c in pivots]
-    out = []
-    for d in diffs:
-        sol = rat_solve(square, [d[c] for c in pivots])
-        if sol is None:
-            return None
-        got = [sum(sol[i] * basis[i][j] for i in range(k)) for j in range(n)]
-        if any(Fraction(g) != Fraction(x) for g, x in zip(got, d)):
-            return None
-        out.append(tuple(as_exact(x) for x in sol))
-    return out
+    cols = [*basis, *diffs]
+    reduced, pivots = echelon([[c[j] for c in cols] for j in range(len(basis[0]))])
+    if pivots != list(range(k)):
+        return None
+    return [
+        tuple(as_exact(Fraction(row[k + t], row[i])) for i, row in enumerate(reduced))
+        for t in range(len(diffs))
+    ]
 
 
 def _hyperplane(points: Sequence[Point], inside: Point) -> tuple[tuple[int, ...], Fraction]:
@@ -492,10 +457,13 @@ def _lattice_points_simplex(p: Polytope) -> list[Point] | None:
         return None
     d = p.ambient_dim
     normals = [f.normal for f in p.facets]
-    null = rat_nullspace([[n[c] for n in normals] for c in range(d)], d + 1)
-    if len(null) != 1:
+    # the pivots of the d x (d + 1) matrix with the normals as columns are the
+    # first d independent normals; its one free column gives the relation
+    reduced, idx = echelon([[n[c] for n in normals] for c in range(d)])
+    if len(idx) != d:
         return None
-    lam_vec, _ = primitive_vector(null[0])
+    rest = next(i for i in range(d + 1) if i not in idx)
+    lam_vec, _ = primitive_vector(rat_nullspace(reduced, d + 1)[0])
     if all(x < 0 for x in lam_vec):
         lam_vec = tuple(-x for x in lam_vec)
     if any(x <= 0 for x in lam_vec):
@@ -505,31 +473,23 @@ def _lattice_points_simplex(p: Polytope) -> list[Point] | None:
     if budget < 0:
         return []
 
-    # d independent normals give back the point from its facet values.
-    idx: list[int] = []
-    rows: list[list[int]] = []
-    for i, n in enumerate(normals):
-        if rat_rank(rows + [list(n)]) > len(rows):
-            rows.append(list(n))
-            idx.append(i)
-        if len(idx) == d:
-            break
-    rest = next(i for i in range(d + 1) if i not in idx)
-    inv = [
-        rat_solve(rows, [1 if r == j else 0 for r in range(d)]) for j in range(d)
-    ]  # columns of rows^-1
+    # d independent normals N give back the point from its facet values:
+    # row j of [N | I] reduces to p_j * (e_j | row j of N^-1)
+    inv, _ = echelon([[*normals[i], *(int(r == c) for c in range(d))] for r, i in enumerate(idx)])
 
     order = sorted(range(d + 1), key=lambda i: -lam_vec[i])
     points: list[Point] = []
 
     def recover(tvals: list[int]) -> None:
-        x = [sum(inv[c][j] * tvals[idx[c]] for c in range(d)) for j in range(d)]
-        if any(xi.denominator != 1 for xi in map(Fraction, x)):
+        x = []
+        for j, row in enumerate(inv):
+            num = sum(row[d + c] * tvals[idx[c]] for c in range(d))
+            if num % row[j]:
+                return
+            x.append(num // row[j])
+        if _dot(normals[rest], x) != tvals[rest]:
             return
-        xi = tuple(int(v) for v in x)
-        if _dot(normals[rest], xi) != tvals[rest]:
-            return
-        points.append(xi)
+        points.append(tuple(x))
 
     tvals = [0] * (d + 1)
 
@@ -655,8 +615,6 @@ def _saturated_coords(vertices: Sequence[Point]) -> list[tuple[Fraction, ...]]:
 def _simplex_volume(coords: Sequence[Sequence[Fraction]]) -> Fraction:
     base = coords[0]
     rows = [[x - b for x, b in zip(c, base)] for c in coords[1:]]
-    from .exact import rat_det
-
     return abs(rat_det(rows))
 
 

@@ -104,6 +104,7 @@ def _knapsack_argmax(ws: Sequence[int], deg: int, direction: Sequence[int]):
     return value, tuple(u)
 
 
+# verify asks three times per vector (mirror_test and both stringy routes)
 @lru_cache(maxsize=1 << 16)
 def has_ip_property(w: WeightVector) -> bool:
     """True if the degree-w Newton polytope is d-dimensional with (1, ..., 1)

@@ -74,10 +74,6 @@ def subset_gcd(w: WeightVector, members: int) -> int:
     return gcd_fold(w.degree, (wi for i, wi in enumerate(w.weights) if members >> i & 1))
 
 
-def complement_mask(w: WeightVector, members: int) -> int:
-    return ((1 << len(w.weights)) - 1) ^ members
-
-
 def newton_count(w: WeightVector) -> int:
     """Number of exponent vectors u >= 0 with sum(w_i u_i) = degree."""
     ws = sorted(w.weights, reverse=True)

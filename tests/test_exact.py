@@ -8,11 +8,11 @@ from cywps.exact import (
     IntMatrix,
     format_rational,
     gcd_fold,
-    parse_rational,
     primitive_vector,
     rat_det,
     rat_nullspace,
     rat_rank,
+    rat_solve,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -34,7 +34,6 @@ def test_rational_rendering():
     assert format_rational(Fraction(1032, 5)) == "1032/5"
     assert format_rational(Fraction(-126)) == "-126"
     assert format_rational(Fraction(-3, 6)) == "-1/2"
-    assert parse_rational("-585/4") == Fraction(-585, 4)
 
 
 @given(
@@ -45,9 +44,15 @@ def test_rational_arithmetic_exact(a, b):
     assert (a + b) - b == a
 
 
+def _mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_rows(
+        [[sum(a.at(i, k) * b.at(k, j) for k in range(a.cols)) for j in range(b.cols)] for i in range(a.rows)]
+    )
+
+
 def _check_snf(a: IntMatrix):
     u, s, v = smith_normal_form(a)
-    assert u.mul(s).mul(v).entries == a.entries
+    assert _mul(_mul(u, s), v).entries == a.entries
     assert abs(u.det()) == 1
     assert abs(v.det()) == 1
     diag = [s.at(i, i) for i in range(min(s.rows, s.cols))]
@@ -99,7 +104,7 @@ def test_snf_random(m, n, data):
 def test_unimodular_inverse():
     m = IntMatrix.from_rows([[1, 2], [0, 1]])
     inv = unimodular_inverse(m)
-    assert m.mul(inv).entries == IntMatrix.identity(2).entries
+    assert _mul(m, inv).entries == IntMatrix.identity(2).entries
     with pytest.raises(ValueError):
         unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
 
@@ -110,3 +115,122 @@ def test_rational_linear_algebra():
     ns = rat_nullspace([[1, 1, 1]], 3)
     assert len(ns) == 2
     assert primitive_vector([Fraction(2, 3), Fraction(-4, 3)]) == ((1, -2), Fraction(2, 3))
+
+
+# -- the elimination kernel against plain Fraction Gauss-Jordan ----------------
+
+
+def _ref_rank(rows):
+    work = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col] / work[rank][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def _ref_det(rows):
+    a = [list(map(Fraction, r)) for r in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+_entries = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """Int/Fraction matrices up to 7 x 8; duplicated and combined rows make
+    many of them rank-deficient."""
+    nrows = draw(st.integers(1, 7))
+    ncols = nrows if square else draw(st.integers(1, 8))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "duplicate", "combine"])) if rows else "fresh"
+        if kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combine":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(_entries), draw(_entries)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(_entries, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_rank_and_nullspace_match_reference(rows):
+    ncols = len(rows[0])
+    rank = _ref_rank(rows)
+    assert rat_rank(rows) == rank
+    basis = rat_nullspace(rows, ncols)
+    assert len(basis) == ncols - rank
+    for vec in basis:
+        assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in rows)
+    assert rat_rank(basis) == len(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(square=True), st.data())
+def test_det_and_solve_match_reference(rows, data):
+    n = len(rows)
+    det = _ref_det(rows)
+    assert rat_det(rows) == det
+    b = data.draw(st.lists(_entries, min_size=n, max_size=n))
+    x = rat_solve(rows, b)
+    assert (x is None) == (det == 0)
+    if x is not None:
+        assert [sum(a * xi for a, xi in zip(row, x)) for row in rows] == b
+
+
+@st.composite
+def _elementary_products(draw):
+    """Products of elementary integer matrices: row additions, swaps, negations."""
+    n = draw(st.integers(1, 7))
+    rows = IntMatrix.identity(n).to_rows()
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            k = draw(st.integers(-5, 5))
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-x for x in rows[i]]
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_elementary_products(), st.data())
+def test_unimodular_inverse_of_elementary_products(m, data):
+    n = m.rows
+    assert _mul(unimodular_inverse(m), m).entries == IntMatrix.identity(n).entries
+    i = data.draw(st.integers(0, n - 1))
+    doubled = IntMatrix.from_rows([[2 * x for x in r] if k == i else r for k, r in enumerate(m.to_rows())])
+    assert abs(doubled.det()) == 2
+    with pytest.raises(ValueError):
+        unimodular_inverse(doubled)

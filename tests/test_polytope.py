@@ -138,6 +138,22 @@ def test_dual_simplex_agrees_with_dual_polytope():
     assert dual_polytope(mirror_simplex(lat)) == dual_simplex(w, lat)
 
 
+def test_lower_dimensional_chart():
+    # a rational quadrilateral spanning a plane in R^4
+    quad = hull_with_faces(
+        [(0, 0, 0, 0), (2, 0, 0, 0), (0, Fraction(3, 2), Fraction(3, 2), 0), (1, 1, 1, 0)]
+    )
+    assert quad.dim == 2
+    half = Fraction(1, 2)
+    assert quad.contains((half, 0, 0, 0))
+    assert quad.contains((1, half, half, 0))
+    assert not quad.contains((0, 0, 1, 0))  # off the span
+    assert not quad.contains((2, Fraction(3, 2), Fraction(3, 2), 0))  # in the plane, outside
+    assert not quad.contains((1, half, half, 1))
+    assert not quad.contains((1, half, half, 0), strict=True)
+    assert lattice_points(quad) == [(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 1, 0), (2, 0, 0, 0)]
+
+
 def test_lattice_points_unit_square():
     square = hull_with_faces([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert lattice_points(square) == [(0, 0), (0, 1), (1, 0), (1, 1)]
