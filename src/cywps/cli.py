@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -124,8 +123,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    jobs = args.jobs if args.jobs else int(os.environ.get("CYWPS_JOBS", "1"))
-    lines = census_tsv(args.dim, args.max_degree, args.filter, jobs)
+    lines = census_tsv(args.dim, args.max_degree, args.filter, args.jobs or None)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             for line in lines:

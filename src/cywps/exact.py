@@ -203,7 +203,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 # -- the elimination kernel and its readings ------------------------------------
 
 
-def _scaled(row: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+def clear_denominators(row: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """(m, m * row) with m the lcm of the row's denominators, so m * row is integral."""
     m = math.lcm(*(x.denominator for x in row))
     return m, [x.numerator * (m // x.denominator) for x in row]
@@ -217,7 +217,7 @@ def echelon(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], 
     column, so over Q it is the i-th row of the reduced echelon form times
     that entry.  The pivots are the first linearly independent columns.
     """
-    work = [r for _, r in map(_scaled, rows) if any(r)]
+    work = [r for _, r in map(clear_denominators, rows) if any(r)]
     ncols = len(work[0]) if work else 0
     pivots: list[int] = []
     for col in range(ncols):
@@ -291,7 +291,7 @@ def rat_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
     scale = 1
     ints = []
     for row in rows:
-        m, r = _scaled(row)
+        m, r = clear_denominators(row)
         scale *= m
         ints.append(r)
     return Fraction(IntMatrix.from_rows(ints).det(), scale)
@@ -302,14 +302,11 @@ def primitive_vector(vec: Sequence[Fraction | int]) -> tuple[tuple[int, ...], Fr
 
     Raises on the zero vector.
     """
-    fracs = [Fraction(x) for x in vec]
-    if not any(fracs):
+    denom, ints = clear_denominators(vec)
+    g = math.gcd(*ints)
+    if not g:
         raise ValueError("zero vector has no primitive direction")
-    denom = math.lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (denom // f.denominator) for f in fracs]
-    g = gcd_fold(0, (abs(x) for x in ints))
-    prim = tuple(x // g for x in ints)
-    return prim, Fraction(g, denom)
+    return tuple(x // g for x in ints), Fraction(g, denom)
 
 
 def as_exact(x) -> int | Fraction:

@@ -1,16 +1,19 @@
 """Exact rational polytope engine for dimensions up to 6.
 
-Hulls are built by incremental beneath-beyond insertion over exact rationals
-(simplicial pieces, merged into true facets at the end), so there is no
-epsilon anywhere.  A polytope carries its V-representation, its
+Integers are the only number type inside the hull, lattice-point and volume
+loops: each clears the denominators of its input once, on entry, and divides
+once on exit.  Hulls
+are built by incremental beneath-beyond insertion on the scaled integer
+points (simplicial pieces, merged into true facets at the end), so there is
+no epsilon anywhere.  A polytope carries its V-representation, its
 H-representation {x : <normal, x> >= -offset} with primitive integer normals,
 and a lazily built face lattice obtained by closing the vertex-facet
 incidence under intersection.
 
 Normalized volumes Vol_k = k! * vol_k are computed by a pulling triangulation
 over the face lattice, measured against the saturated sublattice of the face
-direction span; the scaling rule Vol_k(F) = Vol_k(lF) / l^k for rational F is
-then automatic.
+direction span; a rational face F is measured as the lattice face lF, by the
+scaling rule Vol_k(F) = Vol_k(lF) / l^k.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from .errors import DomainError, EnumerationLimitError
 from .exact import (
     IntMatrix,
     as_exact,
+    clear_denominators,
     echelon,
     format_rational,
     primitive_vector,
-    rat_det,
     rat_nullspace,
     rat_rank,
     smith_normal_form,
@@ -60,6 +63,11 @@ class Facet:
     offset: Fraction | int
     vertex_ids: tuple[int, ...]
 
+    def polar_vertex(self) -> Point:
+        """normal / offset: the vertex of the polar dual that this facet gives."""
+        off = self.offset
+        return tuple(as_exact(Fraction(c * off.denominator, off.numerator)) for c in self.normal)
+
 
 @dataclass(frozen=True)
 class Face:
@@ -85,9 +93,8 @@ class Polytope:
         vertices: Sequence[Point],
         facets: Sequence[Facet],
         chart: tuple[Point, tuple[Point, ...]] | None = None,
-        chart_vertices: tuple[Point, ...] | None = None,
     ):
-        order = sorted(range(len(vertices)), key=lambda i: tuple(map(Fraction, vertices[i])))
+        order = sorted(range(len(vertices)), key=lambda i: vertices[i])
         remap = {old: new for new, old in enumerate(order)}
         self.ambient_dim = ambient_dim
         self.dim = dim
@@ -96,12 +103,9 @@ class Polytope:
             Facet(f.normal, as_exact(f.offset), tuple(sorted(remap[i] for i in f.vertex_ids)))
             for f in facets
         ]
-        fs.sort(key=lambda f: (f.normal, Fraction(f.offset)))
+        fs.sort(key=lambda f: (f.normal, f.offset))
         self.facets: tuple[Facet, ...] = tuple(fs)
         self._chart = chart
-        self._chart_vertices = (
-            tuple(chart_vertices[i] for i in order) if chart_vertices is not None else None
-        )
         self._faces: dict[int, tuple[Face, ...]] | None = None
         self._triangulations: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
@@ -133,7 +137,7 @@ class Polytope:
         return len(self.vertices) == self.dim + 1
 
     def origin_interior(self) -> bool:
-        return self.is_full_dimensional and all(Fraction(f.offset) > 0 for f in self.facets)
+        return self.is_full_dimensional and all(f.offset > 0 for f in self.facets)
 
     def contains(self, point: Sequence, strict: bool = False) -> bool:
         p = _normalize_point(point)
@@ -225,6 +229,13 @@ class Polytope:
 # -- construction ---------------------------------------------------------------
 
 
+def _cleared(points: Sequence[Point], factor: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(m, m * points) with m = factor * lcm of every coordinate denominator."""
+    lcm, flat = clear_denominators([x for p in points for x in p])
+    n = len(points[0])
+    return factor * lcm, [tuple(factor * x for x in flat[i : i + n]) for i in range(0, len(flat), n)]
+
+
 def _affine_dim(points: Sequence[Point]) -> int:
     if len(points) <= 1:
         return 0
@@ -254,9 +265,9 @@ def _chart_coordinates(basis: Sequence[Point], diffs: Sequence[Point]):
     ]
 
 
-def _hyperplane(points: Sequence[Point], inside: Point) -> tuple[tuple[int, ...], Fraction]:
-    """Primitive integer normal/offset of the hyperplane through k points in R^k,
-    oriented so that <normal, inside> > -offset."""
+def _hyperplane(points: Sequence[Point], inside: Point) -> tuple[tuple[int, ...], int]:
+    """Primitive normal and offset of the hyperplane through k integer points
+    in R^k, oriented so that <normal, inside> > -offset."""
     base = points[0]
     rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
     null = rat_nullspace(rows, len(base))
@@ -270,26 +281,25 @@ def _hyperplane(points: Sequence[Point], inside: Point) -> tuple[tuple[int, ...]
         level = -level
     elif side == level:
         raise ValueError("reference point lies on the hyperplane")
-    return normal, as_exact(-level)
+    return normal, -level
 
 
-def _hull_full_dim(pts: list[Point]) -> list[tuple[tuple[int, ...], Fraction | int, list[int]]]:
+def _hull_full_dim(pts: list[Point]) -> list[tuple[tuple[int, ...], Fraction, list[int]]]:
     """Beneath-beyond hull of points affinely spanning R^k (k >= 1).
 
-    Returns the true facets as (normal, offset, point_ids); point ids refer to
-    ``pts``.
+    The points are scaled once by m = (k + 1) * lcm(denominators), which makes
+    them and the centroid of the start simplex integral, so insertion, merging
+    and vertex identification run on integers; offsets are divided by m on
+    return.  Returns the true facets as (normal, offset, point_ids); point ids
+    refer to ``pts``.
     """
     k = len(pts[0])
-    if k == 1:
-        lo = min(range(len(pts)), key=lambda i: pts[i][0])
-        hi = max(range(len(pts)), key=lambda i: pts[i][0])
-        return [((1,), as_exact(-pts[lo][0]), [lo]), ((-1,), as_exact(pts[hi][0]), [hi])]
-
+    m, pts = _cleared(pts, k + 1)
     base, chosen = _affine_basis(pts)
     start = [base] + chosen
-    centre = tuple(sum(Fraction(pts[i][j]) for i in start) / (k + 1) for j in range(k))
+    centre = tuple(sum(pts[i][j] for i in start) // (k + 1) for j in range(k))
 
-    pieces: dict[int, tuple[frozenset[int], tuple[int, ...], Fraction | int]] = {}
+    pieces: dict[int, tuple[frozenset[int], tuple[int, ...], int]] = {}
     ridge_map: dict[frozenset[int], set[int]] = {}
     next_id = 0
 
@@ -314,7 +324,7 @@ def _hull_full_dim(pts: list[Point]) -> list[tuple[tuple[int, ...], Fraction | i
         add_piece(frozenset(start) - {omit})
 
     todo = [i for i in range(len(pts)) if i not in start]
-    todo.sort(key=lambda i: (-max(abs(Fraction(x)) for x in pts[i]), pts[i]))
+    todo.sort(key=lambda i: (-max(map(abs, pts[i])), pts[i]))
     for i in todo:
         p = pts[i]
         visible = [pid for pid, (_, nrm, off) in pieces.items() if _dot(nrm, p) + off < 0]
@@ -334,13 +344,13 @@ def _hull_full_dim(pts: list[Point]) -> list[tuple[tuple[int, ...], Fraction | i
         for ridge in horizon:
             add_piece(ridge | {i})
 
-    merged: dict[tuple[tuple[int, ...], Fraction | int], set[int]] = {}
+    merged: dict[tuple[tuple[int, ...], int], set[int]] = {}
     for vset, nrm, off in pieces.values():
-        merged.setdefault((nrm, as_exact(off)), set()).update(vset)
+        merged.setdefault((nrm, off), set()).update(vset)
 
     candidates = sorted(set().union(*merged.values()))
     incident: dict[int, list[tuple[int, ...]]] = {c: [] for c in candidates}
-    facet_points: dict[tuple[tuple[int, ...], Fraction | int], list[int]] = {}
+    facet_points: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for (nrm, off) in merged:
         on_plane = [c for c in candidates if _dot(nrm, pts[c]) + off == 0]
         facet_points[(nrm, off)] = on_plane
@@ -348,7 +358,7 @@ def _hull_full_dim(pts: list[Point]) -> list[tuple[tuple[int, ...], Fraction | i
             incident[c].append(nrm)
     vertex_ids = {c for c in candidates if rat_rank(incident[c]) == k}
     return [
-        (nrm, off, sorted(v for v in pt_ids if v in vertex_ids))
+        (nrm, Fraction(off, m), sorted(v for v in pt_ids if v in vertex_ids))
         for (nrm, off), pt_ids in facet_points.items()
     ]
 
@@ -377,33 +387,18 @@ def hull_with_faces(points: Iterable[Sequence]) -> Polytope:
     if dim == 0:
         return Polytope(ambient, 0, [pts[0]], [])
 
-    if dim == ambient:
-        raw = _hull_full_dim(pts)
-        vertex_ids = sorted(set().union(*(set(f[2]) for f in raw)))
-        remap = {old: new for new, old in enumerate(vertex_ids)}
-        facets = [
-            Facet(nrm, off, tuple(remap[i] for i in ids)) for nrm, off, ids in raw
-        ]
-        return Polytope(ambient, dim, [pts[i] for i in vertex_ids], facets)
-
-    basis = tuple(
-        tuple(x - b for x, b in zip(pts[i], pts[base])) for i in chosen
-    )
-    diffs = [tuple(x - b for x, b in zip(p, pts[base])) for p in pts]
-    chart_pts = _chart_coordinates(basis, diffs)
-    assert chart_pts is not None
-    raw = _hull_full_dim(list(chart_pts))
-    vertex_ids = sorted(set().union(*(set(f[2]) for f in raw)))
+    chart = None
+    coords = pts
+    if dim < ambient:
+        basis = tuple(tuple(x - b for x, b in zip(pts[i], pts[base])) for i in chosen)
+        coords = _chart_coordinates(basis, [tuple(x - b for x, b in zip(p, pts[base])) for p in pts])
+        assert coords is not None
+        chart = (pts[base], basis)
+    raw = _hull_full_dim(coords)
+    vertex_ids = sorted(set().union(*(f[2] for f in raw)))
     remap = {old: new for new, old in enumerate(vertex_ids)}
     facets = [Facet(nrm, off, tuple(remap[i] for i in ids)) for nrm, off, ids in raw]
-    return Polytope(
-        ambient,
-        dim,
-        [pts[i] for i in vertex_ids],
-        facets,
-        chart=(pts[base], basis),
-        chart_vertices=tuple(chart_pts[i] for i in vertex_ids),
-    )
+    return Polytope(ambient, dim, [pts[i] for i in vertex_ids], facets, chart)
 
 
 # -- duality ---------------------------------------------------------------------
@@ -418,23 +413,18 @@ def dual_polytope(p: Polytope) -> Polytope:
     if not p.origin_interior():
         raise DomainError("dual polytope requires the origin strictly interior")
     d = p.ambient_dim
-    dual_vertices = [
-        tuple(as_exact(Fraction(c, 1) / f.offset) for c in f.normal) for f in p.facets
-    ]
+    dual_vertices = [f.polar_vertex() for f in p.facets]
     facets = []
     for j, v in enumerate(p.vertices):
         prim, scale = primitive_vector(v)
         vset = tuple(i for i, f in enumerate(p.facets) if j in f.vertex_ids)
-        facets.append(Facet(prim, as_exact(1 / scale), vset))
+        facets.append(Facet(prim, 1 / scale, vset))
     return Polytope(d, d, dual_vertices, facets)
 
 
 def dual_face(p: Polytope, dual: Polytope, face: Face) -> Face:
     """The face of ``dual`` polar to ``face`` of ``p`` (dimension d - k - 1)."""
-    coords = set()
-    for j in face.facet_ids:
-        f = p.facets[j]
-        coords.add(tuple(as_exact(Fraction(c, 1) / f.offset) for c in f.normal))
+    coords = {p.facets[j].polar_vertex() for j in face.facet_ids}
     want = tuple(sorted(i for i, v in enumerate(dual.vertices) if v in coords))
     k = p.dim - face.dim - 1
     for g in dual.faces(k):
@@ -468,7 +458,12 @@ def _lattice_points_simplex(p: Polytope) -> list[Point] | None:
         lam_vec = tuple(-x for x in lam_vec)
     if any(x <= 0 for x in lam_vec):
         return None
-    lows = [math.ceil(-Fraction(f.offset)) for f in p.facets]
+    # |det| of the independent normals is lam[rest] times the index of the
+    # lattice all normals span; only at index 1 is every knapsack solution a
+    # lattice point, otherwise the enumeration grows by that index
+    if abs(IntMatrix.from_rows([normals[i] for i in idx]).det()) != lam_vec[rest]:
+        return None
+    lows = [math.ceil(-f.offset) for f in p.facets]
     budget = -sum(l * lo for l, lo in zip(lam_vec, lows))
     if budget < 0:
         return []
@@ -512,8 +507,9 @@ def _lattice_points_simplex(p: Polytope) -> list[Point] | None:
 def lattice_points(p: Polytope, limit: int = LATTICE_SCAN_LIMIT) -> list[Point]:
     """All lattice points of a bounded polytope, sorted lexicographically.
 
-    Full-dimensional simplices use an exact knapsack in facet coordinates;
-    everything else falls back to a pruned bounding-box scan.
+    Full-dimensional simplices whose facet normals span the lattice use an
+    exact knapsack in facet coordinates; everything else falls back to a
+    pruned bounding-box scan.
     """
     if p.dim == 0:
         v = p.vertices[0]
@@ -523,8 +519,8 @@ def lattice_points(p: Polytope, limit: int = LATTICE_SCAN_LIMIT) -> list[Point]:
         return fast
 
     n = p.ambient_dim
-    lo = [math.ceil(min(Fraction(v[j]) for v in p.vertices)) for j in range(n)]
-    hi = [math.floor(max(Fraction(v[j]) for v in p.vertices)) for j in range(n)]
+    lo = [math.ceil(min(v[j] for v in p.vertices)) for j in range(n)]
+    hi = [math.floor(max(v[j] for v in p.vertices)) for j in range(n)]
     if any(l > h for l, h in zip(lo, hi)):
         return []
     box = 1
@@ -534,18 +530,22 @@ def lattice_points(p: Polytope, limit: int = LATTICE_SCAN_LIMIT) -> list[Point]:
         raise EnumerationLimitError(f"lattice point scan over {box} candidates exceeds limit")
 
     if p.is_full_dimensional:
-        ineqs = [(f.normal, Fraction(f.offset)) for f in p.facets]
+        # each inequality times its offset's denominator, so every sum is an int
+        ineqs = [
+            (tuple(f.offset.denominator * c for c in f.normal), f.offset.numerator)
+            for f in p.facets
+        ]
         # max attainable contribution of coordinates j..n-1 for each inequality
         maxrem = []
         for nrm, _ in ineqs:
-            suffix = [Fraction(0)] * (n + 1)
+            suffix = [0] * (n + 1)
             for j in range(n - 1, -1, -1):
                 suffix[j] = suffix[j + 1] + max(nrm[j] * lo[j], nrm[j] * hi[j])
             maxrem.append(suffix)
         out: list[Point] = []
         pt = [0] * n
 
-        def scan(j: int, partial: list[Fraction]) -> None:
+        def scan(j: int, partial: list[int]) -> None:
             if j == n:
                 out.append(tuple(pt))
                 return
@@ -560,7 +560,7 @@ def lattice_points(p: Polytope, limit: int = LATTICE_SCAN_LIMIT) -> list[Point]:
                     pt[j] = x
                     scan(j + 1, nxt)
 
-        scan(0, [Fraction(0)] * len(ineqs))
+        scan(0, [0] * len(ineqs))
         out.sort()
         return out
 
@@ -591,8 +591,9 @@ def bracket(p: Polytope) -> Polytope:
 # -- volumes ----------------------------------------------------------------------
 
 
-def _saturated_coords(vertices: Sequence[Point]) -> list[tuple[Fraction, ...]]:
-    """Coordinates of vertices w.r.t. the saturated lattice of their direction span."""
+def _saturated_coords(vertices: Sequence[Point]) -> list[tuple[int, ...]]:
+    """Coordinates of integer vertices w.r.t. the saturated lattice of their
+    direction span."""
     base = vertices[0]
     diffs = [tuple(x - b for x, b in zip(v, base)) for v in vertices[1:]]
     prim_rows = []
@@ -606,29 +607,29 @@ def _saturated_coords(vertices: Sequence[Point]) -> list[tuple[Fraction, ...]]:
     n = vinv.rows
     coords = []
     for d in [tuple(0 for _ in base)] + diffs:
-        full = [sum(Fraction(d[i]) * vinv.at(i, j) for i in range(n)) for j in range(n)]
+        full = [sum(d[i] * vinv.at(i, j) for i in range(n)) for j in range(n)]
         assert all(x == 0 for x in full[k:]), "direction outside saturated span"
         coords.append(tuple(full[:k]))
     return coords
 
 
-def _simplex_volume(coords: Sequence[Sequence[Fraction]]) -> Fraction:
+def _simplex_volume(coords: Sequence[Sequence[int]]) -> int:
     base = coords[0]
-    rows = [[x - b for x, b in zip(c, base)] for c in coords[1:]]
-    return abs(rat_det(rows))
+    return abs(IntMatrix.from_rows([[x - b for x, b in zip(c, base)] for c in coords[1:]]).det())
 
 
 def face_volume(p: Polytope, face: Face) -> Fraction:
     """Normalized volume Vol_k of a face, relative to span(face) intersect Z^n."""
     if face.dim == 0:
         return Fraction(1)
-    verts = [p.vertices[i] for i in face.vertex_ids]
+    # Vol_k(F) = Vol_k(lF) / l^k, with lF integral
+    scale, verts = _cleared([p.vertices[i] for i in face.vertex_ids], 1)
     coords = _saturated_coords(verts)
     index = {vid: i for i, vid in enumerate(face.vertex_ids)}
-    total = Fraction(0)
-    for simplex in p._triangulate(face):
-        total += _simplex_volume([coords[index[v]] for v in simplex])
-    return total
+    total = sum(
+        _simplex_volume([coords[index[v]] for v in simplex]) for simplex in p._triangulate(face)
+    )
+    return Fraction(total, scale**face.dim)
 
 
 def normalized_volume(p: Polytope) -> Fraction:
@@ -677,8 +678,4 @@ def normal_cone_section(p: Polytope, face: Face) -> Polytope:
     zero = origin(p.ambient_dim)
     if face.dim == p.dim:
         return hull_with_faces([zero])
-    apexes = [
-        tuple(as_exact(Fraction(c, 1) / p.facets[j].offset) for c in p.facets[j].normal)
-        for j in face.facet_ids
-    ]
-    return hull_with_faces([zero] + apexes)
+    return hull_with_faces([zero] + [p.facets[j].polar_vertex() for j in face.facet_ids])

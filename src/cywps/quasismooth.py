@@ -120,6 +120,9 @@ def has_ip_property(w: WeightVector) -> bool:
     """
     ws = w.weights
     deg = w.degree
+    if 2 * max(ws) > deg:
+        # u_i <= 1 for the largest weight, so (1, ..., 1) lies on the face u_i = 1
+        return False
     n = len(ws)
     d = w.dim
     memo: dict[int, int] = {}
@@ -166,7 +169,7 @@ def has_ip_property(w: WeightVector) -> bool:
             assert progressed
             continue
         cert = hull_with_faces(points + [zero])
-        worst = min(cert.facets, key=lambda f: (Fraction(f.offset), f.normal))
+        worst = min(cert.facets, key=lambda f: (f.offset, f.normal))
         if worst.offset > 0:
             return True
         h, p = support(tuple(-x for x in worst.normal))

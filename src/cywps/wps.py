@@ -199,8 +199,8 @@ def dual_simplex(w: WeightVector, lattice: MirrorLattice) -> Polytope:
         u[i] += Fraction(deg, wi)
         verts.append(lattice.m_coords(u))
     poly = hull_with_faces(verts)
-    got = {(f.normal, Fraction(f.offset)) for f in poly.facets}
-    want = {(g, Fraction(1)) for g in lattice.generators}
+    got = {(f.normal, f.offset) for f in poly.facets}
+    want = {(g, 1) for g in lattice.generators}
     assert got == want, "dual simplex facets must pair to -1 against the generators"
     return poly
 

@@ -81,6 +81,25 @@ def test_census_jobs_deterministic(capsys):
     assert serial == parallel
 
 
+def test_census_jobs_from_environment(capsys, monkeypatch):
+    import cywps.quasismooth as qs
+
+    sizes = []
+
+    def spy_pool(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    real_pool = qs.Pool
+    monkeypatch.setattr(qs, "Pool", spy_pool)
+    argv = ("census", "--dim", "2", "--max-degree", "30", "--filter", "all")
+    _, serial, _ = run(capsys, *argv, "--jobs", "1")
+    monkeypatch.setenv("CYWPS_JOBS", "2")
+    _, from_env, _ = run(capsys, *argv)
+    assert from_env == serial
+    assert sizes == [2]
+
+
 def test_census_out_file(tmp_path, capsys):
     path = tmp_path / "census.tsv"
     code, out, _ = run(capsys, "census", "--dim", "2", "--max-degree", "20",

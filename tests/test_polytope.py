@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cywps.errors import DomainError
@@ -195,6 +195,56 @@ def _box_points(poly):
     los = [math.ceil(min(Fraction(v[j]) for v in poly.vertices)) for j in range(poly.ambient_dim)]
     his = [math.floor(max(Fraction(v[j]) for v in poly.vertices)) for j in range(poly.ambient_dim)]
     return product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
+
+
+_coord = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def rational_point_sets(draw):
+    """k + 1 to k + 5 rational points in R^2..R^4, in general position (k = n)
+    or confined to an affine subspace of dimension at most k < n."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n))
+    npts = draw(st.integers(k + 1, k + 5))
+    if k == n:
+        return draw(st.lists(st.tuples(*[_coord] * n), min_size=npts, max_size=npts))
+    base = draw(st.tuples(*[_coord] * n))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * n), min_size=k, max_size=k))
+    coeffs = draw(st.lists(st.lists(_coord, min_size=k, max_size=k), min_size=npts, max_size=npts))
+    return [
+        tuple(b + sum(c * d[j] for c, d in zip(cs, dirs)) / 4 for j, b in enumerate(base))
+        for cs in coeffs
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_point_sets(), st.sampled_from((2, 3, Fraction(1, 2), Fraction(2, 3), Fraction(5, 3))))
+def test_hull_scaling_random(pts, q):
+    poly = hull_with_faces(pts)
+    big = hull_with_faces([tuple(q * x for x in p) for p in pts])
+    assert big.dim == poly.dim
+    assert big.vertices == tuple(tuple(q * x for x in v) for v in poly.vertices)
+    # chart coordinates do not change, as the chart basis scales with the points
+    s = q if poly.is_full_dimensional else 1
+    assert [(f.normal, f.offset, f.vertex_ids) for f in big.facets] == [
+        (f.normal, s * f.offset, f.vertex_ids) for f in poly.facets
+    ]
+    assert big.faces_by_dim == poly.faces_by_dim
+    for k, faces in poly.faces_by_dim.items():
+        for face in faces:
+            assert face_volume(big, face) == q**k * face_volume(poly, face)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_point_sets())
+# a simplex whose facet normals span a sublattice of index 14,183,138: the
+# knapsack in facet coordinates would try that many tuples per lattice point
+@example([(Fraction(5, 2), 3, 2), (-6, 0, 2), (Fraction(2, 3), Fraction(-1, 3), -1),
+          (Fraction(1, 2), -5, Fraction(1, 3))])
+def test_lattice_points_match_box_scan_random(pts):
+    poly = hull_with_faces(pts)
+    assert lattice_points(poly) == sorted(p for p in _box_points(poly) if poly.contains(p))
 
 
 def test_bracket_examples():

@@ -29,6 +29,17 @@ def test_ip_examples():
     assert not has_ip_property(WeightVector((1, 1, 4)))
 
 
+def test_ip_prefilter_skips_knapsack(monkeypatch):
+    import cywps.quasismooth as qs
+
+    def fail(*args):
+        raise AssertionError("knapsack ran")
+
+    monkeypatch.setattr(qs, "_knapsack_argmax", fail)
+    # 10**7 exceeds half the degree, so u_4 <= 1 on every Newton point
+    assert not has_ip_property(WeightVector((1, 1, 1, 1, 10**7)))
+
+
 def test_ip_114_boundary_point():
     # (1,1,1) is the midpoint of the hull edge between (2,0,1) and (0,2,1)
     pts = newton_points(WeightVector((1, 1, 4)))
