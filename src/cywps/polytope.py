@@ -504,12 +504,47 @@ def _lattice_points_simplex(p: Polytope) -> list[Point] | None:
     return points
 
 
+def _box_scan(lo: list[int], hi: list[int], ineqs: list[tuple[tuple[int, ...], int]]) -> list[Point]:
+    """Integer points of the box lo <= x <= hi with <normal, x> + offset >= 0
+    for every integer inequality, pruned coordinate by coordinate."""
+    n = len(lo)
+    # max attainable contribution of coordinates j..n-1 for each inequality
+    maxrem = []
+    for nrm, _ in ineqs:
+        suffix = [0] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            suffix[j] = suffix[j + 1] + max(nrm[j] * lo[j], nrm[j] * hi[j])
+        maxrem.append(suffix)
+    out: list[Point] = []
+    pt = [0] * n
+
+    def scan(j: int, partial: list[int]) -> None:
+        if j == n:
+            out.append(tuple(pt))
+            return
+        for x in range(lo[j], hi[j] + 1):
+            nxt = [pp + nrm[j] * x for pp, (nrm, _) in zip(partial, ineqs)]
+            ok = True
+            for fi, (nrm, off) in enumerate(ineqs):
+                if nxt[fi] + maxrem[fi][j + 1] + off < 0:
+                    ok = False
+                    break
+            if ok:
+                pt[j] = x
+                scan(j + 1, nxt)
+
+    scan(0, [0] * len(ineqs))
+    return out
+
+
 def lattice_points(p: Polytope, limit: int = LATTICE_SCAN_LIMIT) -> list[Point]:
     """All lattice points of a bounded polytope, sorted lexicographically.
 
     Full-dimensional simplices whose facet normals span the lattice use an
     exact knapsack in facet coordinates; everything else falls back to a
-    pruned bounding-box scan.
+    pruned bounding-box scan.  A lower-dimensional polytope is scanned on the
+    coordinates its affine hull projects onto one-to-one, and the other
+    coordinates are solved for.
     """
     if p.dim == 0:
         v = p.vertices[0]
@@ -518,9 +553,36 @@ def lattice_points(p: Polytope, limit: int = LATTICE_SCAN_LIMIT) -> list[Point]:
     if fast is not None:
         return fast
 
-    n = p.ambient_dim
-    lo = [math.ceil(min(v[j] for v in p.vertices)) for j in range(n)]
-    hi = [math.floor(max(v[j] for v in p.vertices)) for j in range(n)]
+    lifts = None
+    if p.is_full_dimensional:
+        coords = list(range(p.ambient_dim))
+        # each inequality times its offset's denominator, so every sum is an int
+        ineqs = [
+            (tuple(f.offset.denominator * c for c in f.normal), f.offset.numerator)
+            for f in p.facets
+        ]
+    else:
+        # x = base + sum_i t_i rows[i] on the affine hull, where row i vanishes
+        # on the other pivot coordinates: t_i = (y_i - base[coords[i]]) / pivot_i
+        # for the scanned pivot coordinates y; chart facets and the remaining
+        # coordinates are affine in y, each cleared to integers as m * form
+        base, basis = p._chart
+        rows, coords = echelon(basis)
+        scale = [Fraction(1, row[c]) for row, c in zip(rows, coords)]
+        row_charts = _chart_coordinates(basis, rows)
+
+        def form(coeffs: list[Fraction], const: Fraction) -> tuple[int, tuple[int, ...], int]:
+            g = [a * t for a, t in zip(coeffs, scale)]
+            m, ints = clear_denominators([*g, const - _dot(g, (base[c] for c in coords))])
+            return m, tuple(ints[:-1]), ints[-1]
+
+        ineqs = [
+            form([_dot(f.normal, rc) for rc in row_charts], f.offset)[1:] for f in p.facets
+        ]
+        lifts = [form([row[j] for row in rows], base[j]) for j in range(p.ambient_dim)]
+
+    lo = [math.ceil(min(v[j] for v in p.vertices)) for j in coords]
+    hi = [math.floor(max(v[j] for v in p.vertices)) for j in coords]
     if any(l > h for l, h in zip(lo, hi)):
         return []
     box = 1
@@ -529,49 +591,16 @@ def lattice_points(p: Polytope, limit: int = LATTICE_SCAN_LIMIT) -> list[Point]:
     if box > limit:
         raise EnumerationLimitError(f"lattice point scan over {box} candidates exceeds limit")
 
-    if p.is_full_dimensional:
-        # each inequality times its offset's denominator, so every sum is an int
-        ineqs = [
-            (tuple(f.offset.denominator * c for c in f.normal), f.offset.numerator)
-            for f in p.facets
-        ]
-        # max attainable contribution of coordinates j..n-1 for each inequality
-        maxrem = []
-        for nrm, _ in ineqs:
-            suffix = [0] * (n + 1)
-            for j in range(n - 1, -1, -1):
-                suffix[j] = suffix[j + 1] + max(nrm[j] * lo[j], nrm[j] * hi[j])
-            maxrem.append(suffix)
-        out: list[Point] = []
-        pt = [0] * n
-
-        def scan(j: int, partial: list[int]) -> None:
-            if j == n:
-                out.append(tuple(pt))
-                return
-            for x in range(lo[j], hi[j] + 1):
-                nxt = [pp + nrm[j] * x for pp, (nrm, _) in zip(partial, ineqs)]
-                ok = True
-                for fi, (nrm, off) in enumerate(ineqs):
-                    if nxt[fi] + maxrem[fi][j + 1] + off < 0:
-                        ok = False
-                        break
-                if ok:
-                    pt[j] = x
-                    scan(j + 1, nxt)
-
-        scan(0, [0] * len(ineqs))
-        out.sort()
-        return out
-
-    # lower-dimensional: scan the box, test membership through the chart
-    out = []
-    from itertools import product
-
-    for combo in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if p.contains(combo):
-            out.append(tuple(combo))
-    return sorted(out)
+    out = _box_scan(lo, hi, ineqs)
+    if lifts is not None:
+        points = []
+        for y in out:
+            nums = [_dot(g, y) + g0 for _, g, g0 in lifts]
+            if all(num % m == 0 for num, (m, _, _) in zip(nums, lifts)):
+                points.append(tuple(num // m for num, (m, _, _) in zip(nums, lifts)))
+        out = points
+    out.sort()
+    return out
 
 
 def interior_lattice_points(p: Polytope) -> list[Point]:

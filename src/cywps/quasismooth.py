@@ -7,14 +7,32 @@ distinct outside variables z_e admit a monomial (supported on J) * z_e of
 degree w.  Reachability of degrees is computed with bitset knapsack dynamic
 programming, memoized per subset.
 
-The census enumerates sorted well-formed weight vectors degree by degree via
-a DFS over descending weights; for the transverse filter the DFS prunes with
-the |J| = 1 case of the criterion (each weight must divide w or w - w_j for
-some other j), which is a necessary condition for transversality.
+The transverse census generates its candidates from the |J| = 1 case of the
+criterion: every weight w_i needs a pointer, i.e. w_i divides w or w - w_j for
+some other j (Kreuzer-Skarke, "On the classification of quasihomogeneous
+functions").  Per degree, the generator picks the free weights in descending
+order.  A weight v with no pointer to w or to a weight already placed can only
+point at a later weight u <= v with u = w mod v, so that u joins the tuple as
+a forced weight.  The last one or two free weights are solved directly: one
+is the remaining sum s, and of a pair x >= y = s - x the larger divides w,
+w - c for a placed weight c, or w - y = w - s + x, hence w - s.
+
+Completeness: let T be a tuple with pointers.  Walk T from its largest weight
+down, skipping weights already placed as forced.  At each weight v, if v
+points at w or at a placed weight, place v; otherwise v points at some u in T
+still unplaced, u <= v and u = w mod v (v cannot divide w), and the generator
+places v and forces u, the same step.  Every step stays within the bounds the
+generator scans (the unplaced weights of T sum to s and are at most v), so T
+is emitted.  Emitted tuples are checked against the full |J| = 1 condition
+and gcd 1 and kept once each; ``is_transverse`` remains the final filter.
+
+The IP and unfiltered censuses scan all partitions, the IP one with weights
+capped at half the degree.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -201,82 +219,79 @@ class CensusRecord:
 
 
 def iter_weight_partitions(
-    dim: int, degree: int, transverse_prune: bool = False
+    dim: int, degree: int, max_weight: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Sorted tuples w_0 <= ... <= w_dim with the given degree, via DFS over
-    descending weights.  With ``transverse_prune`` branches are cut when some
-    chosen weight can no longer satisfy the singleton transversality condition
-    (w_i | degree or w_i | degree - w_j for some other j); unsatisfied weights
-    are carried with their residues, so a weight whose residue exceeds every
-    possible future value cuts the remaining value range at once.
-    """
+    """Sorted tuples w_0 <= ... <= w_dim with the given degree and every weight
+    at most ``max_weight``, via DFS over descending weights."""
     slots = dim + 1
-    if not transverse_prune:
-        def plain(chosen: list[int], remaining: int, max_val: int):
-            left = slots - len(chosen)
-            if left == 1:
-                if remaining <= max_val:
-                    chosen.append(remaining)
-                    yield tuple(reversed(chosen))
-                    chosen.pop()
-                return
-            hi = min(max_val, remaining - (left - 1))
-            lo = -(-remaining // left)
-            for v in range(hi, lo - 1, -1):
-                chosen.append(v)
-                yield from plain(chosen, remaining - v, v)
-                chosen.pop()
 
-        yield from plain([], degree, degree - slots + 1)
-        return
-
-    def dfs(chosen: list[int], unsat: list[tuple[int, int]], remaining: int, max_val: int):
-        # unsat: (weight, degree % weight) for chosen weights not yet satisfied.
-        # Future values never exceed the unsatisfied weight, so the only value
-        # that can fix (w_i, r_i) is r_i itself: the distinct residues are
-        # forced future values and must fit the remaining budget.
+    def plain(chosen: list[int], remaining: int, max_val: int):
         left = slots - len(chosen)
+        if left == 1:
+            if remaining <= max_val:
+                chosen.append(remaining)
+                yield tuple(reversed(chosen))
+                chosen.pop()
+            return
         hi = min(max_val, remaining - (left - 1))
         lo = -(-remaining // left)
-        future_left = left - 1
         for v in range(hi, lo - 1, -1):
-            rem_after = remaining - v
-            future_max = min(v, rem_after - (future_left - 1)) if future_left else 0
-            new_unsat = []
-            required: set[int] = set()
-            viable = True
-            for wi, ri in unsat:
-                if (degree - v) % wi == 0:
-                    continue
-                if ri > future_max:
-                    viable = False
-                    if ri > v:
-                        # future values only shrink; no smaller v can reach ri
-                        return
-                    break
-                new_unsat.append((wi, ri))
-                required.add(ri)
-            if not viable:
-                continue
-            r_v = degree % v
-            if r_v and not any((degree - c) % v == 0 for c in chosen):
-                if r_v > future_max:
-                    continue
-                new_unsat.append((v, r_v))
-                required.add(r_v)
-            if required and (
-                len(required) > future_left
-                or sum(required) + future_left - len(required) > rem_after
-            ):
-                continue
-            if future_left:
-                chosen.append(v)
-                yield from dfs(chosen, new_unsat, rem_after, v)
-                chosen.pop()
-            elif not new_unsat:
-                yield tuple(reversed(chosen + [v]))
+            chosen.append(v)
+            yield from plain(chosen, remaining - v, v)
+            chosen.pop()
 
-    yield from dfs([], [], degree, degree - slots + 1)
+    top = degree - slots + 1
+    yield from plain([], degree, top if max_weight is None else min(top, max_weight))
+
+
+def _divisors(n: int) -> list[int]:
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in small]
+
+
+def transverse_candidates(dim: int, degree: int) -> list[tuple[int, ...]]:
+    """Primitive sorted tuples of dim + 1 weights with the given degree in
+    which every weight has a pointer (it divides degree or degree - w_j for
+    some other j), in the order of ``iter_weight_partitions``."""
+    found: set[tuple[int, ...]] = set()
+    divisors: dict[int, list[int]] = {}
+
+    def emit(ws: list[int]) -> None:
+        t = tuple(sorted(ws))
+        if math.gcd(*t) == 1 and all(any((degree - u) % v == 0 for u in (0, *t)) for v in t):
+            found.add(t)
+
+    def grow(fixed: list[int], free: int, s: int, vmax: int) -> None:
+        # fixed: weights chosen or forced so far; the free ones sum to s, each <= vmax
+        if free <= 1:
+            if free == 0 and s == 0 or free == 1 and 1 <= s <= vmax:
+                emit(fixed + [s] * free)
+            return
+        if free == 2:
+            # x >= y = s - x, and x divides degree, degree - c or degree - y
+            lo, hi = (s + 1) // 2, min(vmax, s - 1)
+            xs = set()
+            for n in (degree, degree - s, *(degree - c for c in fixed)):
+                if n not in divisors:
+                    divisors[n] = _divisors(n)
+                xs.update(x for x in divisors[n] if lo <= x <= hi)
+            for x in xs:
+                emit(fixed + [x, s - x])
+            return
+        for v in range(min(vmax, s - free + 1), -(-s // free) - 1, -1):
+            r = degree % v
+            if r == 0 or any((degree - c) % v == 0 for c in fixed):
+                fixed.append(v)
+                grow(fixed, free - 1, s - v, v)
+                fixed.pop()
+            elif free - 2 <= s - v - r <= (free - 2) * v:
+                # v's pointer must be a later weight u <= v, so u = degree mod v
+                fixed += (v, r)
+                grow(fixed, free - 2, s - v - r, v)
+                del fixed[-2:]
+
+    grow([], dim + 1, degree, degree)
+    return sorted(found, key=lambda t: t[::-1], reverse=True)
 
 
 def _census_degree(args: tuple[int, int, str]) -> list[CensusRecord]:
@@ -284,7 +299,12 @@ def _census_degree(args: tuple[int, int, str]) -> list[CensusRecord]:
     from .euler import vafa_subset_sum  # deferred: euler depends on this module
 
     out: list[CensusRecord] = []
-    for weights in iter_weight_partitions(dim, degree, transverse_prune=flt == "transverse"):
+    if flt == "transverse":
+        candidates = transverse_candidates(dim, degree)
+    else:
+        # has_ip_property refuses a weight above half the degree
+        candidates = iter_weight_partitions(dim, degree, degree // 2 if flt == "ip" else None)
+    for weights in candidates:
         w = WeightVector(weights)
         well_formed, gorenstein = weight_flags(w)
         if not well_formed:
@@ -334,10 +354,13 @@ def census(
 
 def census_tsv(
     dim: int, max_degree: int, flt: str = "all", jobs: int | None = None
-) -> Iterator[str]:
-    """Census in the TSV exchange format, header line first."""
+) -> list[str]:
+    """Census in the TSV exchange format, header line first.
+
+    The records are computed, and the arguments checked, before any line
+    exists, so a refused call leaves no header behind."""
     from . import __version__
 
-    yield f"# dim={dim} max_degree={max_degree} filter={flt} version={__version__}"
-    for rec in census(dim, max_degree, flt, jobs):
-        yield rec.tsv()
+    records = census(dim, max_degree, flt, jobs)
+    header = f"# dim={dim} max_degree={max_degree} filter={flt} version={__version__}"
+    return [header, *(rec.tsv() for rec in records)]

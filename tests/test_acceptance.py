@@ -38,7 +38,7 @@ from cywps.quasismooth import (
     census,
     has_ip_property,
     is_transverse,
-    iter_weight_partitions,
+    transverse_candidates,
 )
 from cywps.wps import (
     WeightVector,
@@ -92,7 +92,7 @@ def sample_transverse_d4(rng, count, max_degree=400):
         degree = rng.randint(10, max_degree)
         candidates = [
             ws
-            for ws in iter_weight_partitions(4, degree, transverse_prune=True)
+            for ws in transverse_candidates(4, degree)
             if weight_flags(WeightVector(ws))[0] and is_transverse(WeightVector(ws))
         ]
         if not candidates:

@@ -109,6 +109,25 @@ def test_census_out_file(tmp_path, capsys):
     assert path.read_text().startswith("# dim=2")
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("--dim", "5", "--max-degree", "10"), None),
+        (("--dim", "2", "--max-degree", "10"), "abc"),
+    ],
+)
+def test_census_refusal_writes_nothing(tmp_path, capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("CYWPS_JOBS", env)
+    code, out, err = run(capsys, "census", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    path = tmp_path / "census.tsv"
+    code, out, _ = run(capsys, "census", *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert not path.exists()
+
+
 def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "euler", "0,1,2")
     assert code == 2

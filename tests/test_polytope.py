@@ -247,6 +247,24 @@ def test_lattice_points_match_box_scan_random(pts):
     assert lattice_points(poly) == sorted(p for p in _box_points(poly) if poly.contains(p))
 
 
+def test_lattice_points_of_cube_on_hyperplane():
+    # the cube [0, 10]^3 placed in R^4 on x4 = x1 + x2 + x3, and a rational
+    # shift of it whose lattice points need the last coordinate solved
+    cube = hull_with_faces(
+        [(a, b, c, a + b + c) for a, b, c in product((0, 10), repeat=3)]
+    )
+    assert cube.dim == 3
+    points = lattice_points(cube)
+    assert len(points) == 1331
+    assert points == [(*p, sum(p)) for p in product(range(11), repeat=3)]
+    half = Fraction(1, 2)
+    shifted = hull_with_faces(
+        [(a, b, c, (a + b + c) / 2 + half) for a, b, c in product((0, 10), repeat=3)]
+    )
+    odd = [p for p in product(range(11), repeat=3) if sum(p) % 2]
+    assert lattice_points(shifted) == [(*p, (sum(p) + 1) // 2) for p in odd]
+
+
 def test_bracket_examples():
     w = WeightVector((1, 1, 1, 1, 1))
     lat = mirror_lattice(w)

@@ -1,6 +1,10 @@
+import hashlib
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cywps.polytope import hull_with_faces
 from cywps.quasismooth import (
@@ -10,6 +14,7 @@ from cywps.quasismooth import (
     has_ip_property,
     is_transverse,
     iter_weight_partitions,
+    transverse_candidates,
 )
 from cywps.wps import WeightVector, newton_points, weight_flags
 from conftest import random_well_formed
@@ -127,12 +132,60 @@ def test_partition_enumeration_sorted_and_complete():
     assert sorted(parts) == brute
 
 
-def test_pruned_enumeration_keeps_all_transverse():
-    for degree in range(3, 40):
-        pruned = set(iter_weight_partitions(2, degree, transverse_prune=True))
-        full = set(iter_weight_partitions(2, degree))
-        assert pruned <= full
-        for ws in full - pruned:
-            w = WeightVector(ws)
-            if weight_flags(w)[0]:
-                assert not is_transverse(w)
+def has_pointers(ws, degree):
+    """Each weight divides the degree or the degree minus another weight."""
+    return all(
+        degree % wi == 0
+        or any((degree - wj) % wi == 0 for j, wj in enumerate(ws) if j != i)
+        for i, wi in enumerate(ws)
+    )
+
+
+_MAX_DEGREE = {2: 400, 3: 160, 4: 80}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4)).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(d + 1, _MAX_DEGREE[d]))
+    )
+)
+@example((2, 6))
+@example((3, 66))
+@example((4, 80))
+def test_transverse_candidates_are_primitive_pointer_partitions(case):
+    dim, degree = case
+    expected = [
+        ws
+        for ws in iter_weight_partitions(dim, degree)
+        if math.gcd(*ws) == 1 and has_pointers(ws, degree)
+    ]
+    assert transverse_candidates(dim, degree) == expected
+
+
+def tsv_digest(lines):
+    return hashlib.sha256(("\n".join(lines) + "\n").encode("ascii")).hexdigest()
+
+
+def test_ip_census_skips_weights_above_half_degree(monkeypatch):
+    import cywps.quasismooth as qs
+
+    seen = []
+
+    def spy(w):
+        seen.append(w)
+        return weight_flags(w)
+
+    monkeypatch.setattr(qs, "weight_flags", spy)
+    lines = census_tsv(3, 40, "ip", jobs=1)
+    # pinned from the census before the enumeration was capped
+    assert len(lines) == 1 + 87
+    assert tsv_digest(lines) == "2dc0bb009b19a01e131927fc5200f4c640288590d2e91cbc3b677f917345eae8"
+    assert seen and all(2 * max(w.weights) <= w.degree for w in seen)
+
+
+def test_census_d4_transverse_200_pinned():
+    # pinned from the partition-scan census that the pointer generator replaced
+    lines = census_tsv(4, 200, "transverse", jobs=1)
+    assert len(lines) == 1 + 4405
+    assert tsv_digest(lines) == "c58dc5ba01aee547f7873916e3fde445175a2c95a0f39b3b9550ff1f84f4e1b7"
