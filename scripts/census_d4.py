@@ -44,5 +44,6 @@ def main() -> None:
         fh.writelines(line + "\n" for line in lines)
     print(f"wrote {args.out}")
 
+
 if __name__ == "__main__":
     main()

@@ -504,7 +504,9 @@ def _lattice_points_simplex(p: Polytope) -> list[Point] | None:
     return points
 
 
-def _box_scan(lo: list[int], hi: list[int], ineqs: list[tuple[tuple[int, ...], int]]) -> list[Point]:
+def _box_scan(
+    lo: list[int], hi: list[int], ineqs: list[tuple[tuple[int, ...], int]]
+) -> list[Point]:
     """Integer points of the box lo <= x <= hi with <normal, x> + offset >= 0
     for every integer inequality, pruned coordinate by coordinate."""
     n = len(lo)
@@ -562,10 +564,11 @@ def lattice_points(p: Polytope, limit: int = LATTICE_SCAN_LIMIT) -> list[Point]:
             for f in p.facets
         ]
     else:
-        # x = base + sum_i t_i rows[i] on the affine hull, where row i vanishes
-        # on the other pivot coordinates: t_i = (y_i - base[coords[i]]) / pivot_i
-        # for the scanned pivot coordinates y; chart facets and the remaining
-        # coordinates are affine in y, each cleared to integers as m * form
+        # the affine hull is {base + sum_i t_i rows[i]}, and row i vanishes on
+        # every pivot coordinate but coords[i], so the scanned pivot values y
+        # fix t_i = (y_i - base[coords[i]]) / rows[i][coords[i]]; the chart
+        # facets and every coordinate are then affine in y, each kept as
+        # integers (m, g, g0) with m * value = <g, y> + g0
         base, basis = p._chart
         rows, coords = echelon(basis)
         scale = [Fraction(1, row[c]) for row, c in zip(rows, coords)]
@@ -595,9 +598,14 @@ def lattice_points(p: Polytope, limit: int = LATTICE_SCAN_LIMIT) -> list[Point]:
     if lifts is not None:
         points = []
         for y in out:
-            nums = [_dot(g, y) + g0 for _, g, g0 in lifts]
-            if all(num % m == 0 for num, (m, _, _) in zip(nums, lifts)):
-                points.append(tuple(num // m for num, (m, _, _) in zip(nums, lifts)))
+            x = []
+            for m, g, g0 in lifts:
+                value, rest = divmod(_dot(g, y) + g0, m)
+                if rest:
+                    break
+                x.append(value)
+            else:
+                points.append(tuple(x))
         out = points
     out.sort()
     return out

@@ -268,7 +268,8 @@ def transverse_candidates(dim: int, degree: int) -> list[tuple[int, ...]]:
                 emit(fixed + [s] * free)
             return
         if free == 2:
-            # x >= y = s - x, and x divides degree, degree - c or degree - y
+            # x >= y = s - x, and x divides degree, degree - c or degree - y;
+            # the last holds exactly when x divides degree - s
             lo, hi = (s + 1) // 2, min(vmax, s - 1)
             xs = set()
             for n in (degree, degree - s, *(degree - c for c in fixed)):

@@ -117,7 +117,7 @@ def ip_sample_d4():
 @pytest.fixture(scope="session")
 def d4_census():
     if not EXTENDED:
-        pytest.skip("extended d=4 census: set CYWPS_EXTENDED=1 (multi-hour)")
+        pytest.skip("extended d=4 census: set CYWPS_EXTENDED=1 (about 20 min on 2 cores)")
     jobs = int(os.environ.get("CYWPS_JOBS", str(os.cpu_count() or 1)))
     return census(4, 3600, "transverse", jobs=jobs)
 
