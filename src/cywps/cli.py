@@ -123,7 +123,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    lines = census_tsv(args.dim, args.max_degree, args.filter, args.jobs or None)
+    lines = census_tsv(args.dim, args.max_degree, args.filter, args.jobs)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             for line in lines:
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--filter", choices=("transverse", "ip", "all"), default="transverse")
-    p.add_argument("--jobs", type=int, default=0, help="workers (default: CYWPS_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=None, help="workers (default: CYWPS_JOBS or 1)")
     p.add_argument("--out", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_census)
 

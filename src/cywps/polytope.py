@@ -10,6 +10,10 @@ H-representation {x : <normal, x> >= -offset} with primitive integer normals,
 and a lazily built face lattice obtained by closing the vertex-facet
 incidence under intersection.
 
+Lattice points come from one pruned bounding-box scan for every polytope,
+the dual simplex of a weight vector included; its lattice points are also the
+degree-w monomials that ``wps.newton_points`` lists.
+
 Normalized volumes Vol_k = k! * vol_k are computed by a pulling triangulation
 over the face lattice, measured against the saturated sublattice of the face
 direction span; a rational face F is measured as the lattice face lF, by the
@@ -132,10 +136,6 @@ class Polytope:
     def is_lattice(self) -> bool:
         return all(isinstance(x, int) for v in self.vertices for x in v)
 
-    @property
-    def is_simplex(self) -> bool:
-        return len(self.vertices) == self.dim + 1
-
     def origin_interior(self) -> bool:
         return self.is_full_dimensional and all(f.offset > 0 for f in self.facets)
 
@@ -185,8 +185,7 @@ class Polytope:
         seen.add(frozenset(range(nv)))
         out: dict[int, list[Face]] = {}
         for vset in seen:
-            pts = [self.vertices[i] for i in vset]
-            dim = _affine_dim(pts)
+            dim = len(_affine_basis([self.vertices[i] for i in vset]))
             facet_ids = tuple(j for j, fv in enumerate(facet_vsets) if vset <= fv)
             out.setdefault(dim, []).append(Face(dim, tuple(sorted(vset)), facet_ids))
         return {
@@ -236,19 +235,13 @@ def _cleared(points: Sequence[Point], factor: int) -> tuple[int, list[tuple[int,
     return factor * lcm, [tuple(factor * x for x in flat[i : i + n]) for i in range(0, len(flat), n)]
 
 
-def _affine_dim(points: Sequence[Point]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    return rat_rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
-
-
-def _affine_basis(points: Sequence[Point]) -> tuple[int, list[int]]:
-    """Indices (base, independents) spanning the affine hull of the points;
-    the independents are the first independent differences, in input order."""
+def _affine_basis(points: Sequence[Point]) -> list[int]:
+    """Indices of the points whose differences from points[0] are the first
+    independent ones, in input order; with points[0] they span the affine
+    hull, so their number is its dimension."""
     base = points[0]
     _, pivots = echelon([[p[j] - base[j] for p in points[1:]] for j in range(len(base))])
-    return 0, [c + 1 for c in pivots]
+    return [c + 1 for c in pivots]
 
 
 def _chart_coordinates(basis: Sequence[Point], diffs: Sequence[Point]):
@@ -295,8 +288,7 @@ def _hull_full_dim(pts: list[Point]) -> list[tuple[tuple[int, ...], Fraction, li
     """
     k = len(pts[0])
     m, pts = _cleared(pts, k + 1)
-    base, chosen = _affine_basis(pts)
-    start = [base] + chosen
+    start = [0] + _affine_basis(pts)
     centre = tuple(sum(pts[i][j] for i in start) // (k + 1) for j in range(k))
 
     pieces: dict[int, tuple[frozenset[int], tuple[int, ...], int]] = {}
@@ -382,7 +374,7 @@ def hull_with_faces(points: Iterable[Sequence]) -> Polytope:
     if any(len(p) != ambient for p in pts):
         raise ValueError("points of mixed dimension")
 
-    base, chosen = _affine_basis(pts)
+    chosen = _affine_basis(pts)
     dim = len(chosen)
     if dim == 0:
         return Polytope(ambient, 0, [pts[0]], [])
@@ -390,10 +382,11 @@ def hull_with_faces(points: Iterable[Sequence]) -> Polytope:
     chart = None
     coords = pts
     if dim < ambient:
-        basis = tuple(tuple(x - b for x, b in zip(pts[i], pts[base])) for i in chosen)
-        coords = _chart_coordinates(basis, [tuple(x - b for x, b in zip(p, pts[base])) for p in pts])
+        base = pts[0]
+        basis = tuple(tuple(x - b for x, b in zip(pts[i], base)) for i in chosen)
+        coords = _chart_coordinates(basis, [tuple(x - b for x, b in zip(p, base)) for p in pts])
         assert coords is not None
-        chart = (pts[base], basis)
+        chart = (base, basis)
     raw = _hull_full_dim(coords)
     vertex_ids = sorted(set().union(*(f[2] for f in raw)))
     remap = {old: new for new, old in enumerate(vertex_ids)}
@@ -436,74 +429,6 @@ def dual_face(p: Polytope, dual: Polytope, face: Face) -> Face:
 # -- lattice points ----------------------------------------------------------------
 
 
-def _lattice_points_simplex(p: Polytope) -> list[Point] | None:
-    """Knapsack enumeration in facet coordinates; None if not applicable.
-
-    For a full-dimensional simplex the d+1 inward facet normals satisfy a
-    unique positive integer relation sum(lam_i * normal_i) = 0; lattice points
-    correspond to bounded integer solutions in the facet-value coordinates.
-    """
-    if not (p.is_full_dimensional and p.is_simplex and len(p.facets) == p.dim + 1):
-        return None
-    d = p.ambient_dim
-    normals = [f.normal for f in p.facets]
-    # the pivots of the d x (d + 1) matrix with the normals as columns are the
-    # first d independent normals; its one free column gives the relation
-    reduced, idx = echelon([[n[c] for n in normals] for c in range(d)])
-    if len(idx) != d:
-        return None
-    rest = next(i for i in range(d + 1) if i not in idx)
-    lam_vec, _ = primitive_vector(rat_nullspace(reduced, d + 1)[0])
-    if all(x < 0 for x in lam_vec):
-        lam_vec = tuple(-x for x in lam_vec)
-    if any(x <= 0 for x in lam_vec):
-        return None
-    # |det| of the independent normals is lam[rest] times the index of the
-    # lattice all normals span; only at index 1 is every knapsack solution a
-    # lattice point, otherwise the enumeration grows by that index
-    if abs(IntMatrix.from_rows([normals[i] for i in idx]).det()) != lam_vec[rest]:
-        return None
-    lows = [math.ceil(-f.offset) for f in p.facets]
-    budget = -sum(l * lo for l, lo in zip(lam_vec, lows))
-    if budget < 0:
-        return []
-
-    # d independent normals N give back the point from its facet values:
-    # row j of [N | I] reduces to p_j * (e_j | row j of N^-1)
-    inv, _ = echelon([[*normals[i], *(int(r == c) for c in range(d))] for r, i in enumerate(idx)])
-
-    order = sorted(range(d + 1), key=lambda i: -lam_vec[i])
-    points: list[Point] = []
-
-    def recover(tvals: list[int]) -> None:
-        x = []
-        for j, row in enumerate(inv):
-            num = sum(row[d + c] * tvals[idx[c]] for c in range(d))
-            if num % row[j]:
-                return
-            x.append(num // row[j])
-        if _dot(normals[rest], x) != tvals[rest]:
-            return
-        points.append(tuple(x))
-
-    tvals = [0] * (d + 1)
-
-    def dfs(pos: int, remaining: int) -> None:
-        i = order[pos]
-        if pos == d:
-            if remaining % lam_vec[i] == 0:
-                tvals[i] = lows[i] + remaining // lam_vec[i]
-                recover(tvals)
-            return
-        for s in range(remaining // lam_vec[i] + 1):
-            tvals[i] = lows[i] + s
-            dfs(pos + 1, remaining - s * lam_vec[i])
-
-    dfs(0, budget)
-    points.sort()
-    return points
-
-
 def _box_scan(
     lo: list[int], hi: list[int], ineqs: list[tuple[tuple[int, ...], int]]
 ) -> list[Point]:
@@ -539,22 +464,18 @@ def _box_scan(
     return out
 
 
-def lattice_points(p: Polytope, limit: int = LATTICE_SCAN_LIMIT) -> list[Point]:
+def lattice_points(p: Polytope) -> list[Point]:
     """All lattice points of a bounded polytope, sorted lexicographically.
 
-    Full-dimensional simplices whose facet normals span the lattice use an
-    exact knapsack in facet coordinates; everything else falls back to a
-    pruned bounding-box scan.  A lower-dimensional polytope is scanned on the
-    coordinates its affine hull projects onto one-to-one, and the other
-    coordinates are solved for.
+    One algorithm serves every polytope: a bounding-box scan pruned
+    coordinate by coordinate against integer facet inequalities.  A
+    lower-dimensional polytope is scanned on the coordinates its affine hull
+    projects onto one-to-one, and the other coordinates are solved for.  A box
+    of more than LATTICE_SCAN_LIMIT candidates raises EnumerationLimitError.
     """
     if p.dim == 0:
         v = p.vertices[0]
         return [v] if all(isinstance(x, int) for x in v) else []
-    fast = _lattice_points_simplex(p)
-    if fast is not None:
-        return fast
-
     lifts = None
     if p.is_full_dimensional:
         coords = list(range(p.ambient_dim))
@@ -591,7 +512,7 @@ def lattice_points(p: Polytope, limit: int = LATTICE_SCAN_LIMIT) -> list[Point]:
     box = 1
     for l, h in zip(lo, hi):
         box *= h - l + 1
-    if box > limit:
+    if box > LATTICE_SCAN_LIMIT:
         raise EnumerationLimitError(f"lattice point scan over {box} candidates exceeds limit")
 
     out = _box_scan(lo, hi, ineqs)

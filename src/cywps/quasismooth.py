@@ -341,6 +341,8 @@ def census(
         raise ValueError(f"filter must be one of {_FILTERS}")
     if jobs is None:
         jobs = int(os.environ.get("CYWPS_JOBS", "1"))
+    if jobs < 1:
+        raise ValueError(f"census needs at least one worker, got {jobs}")
     # expensive degrees first, so workers stay balanced
     tasks = [(dim, n, flt) for n in range(max_degree, dim, -1)]
     if jobs > 1 and len(tasks) > 1:

@@ -114,6 +114,8 @@ def test_census_out_file(tmp_path, capsys):
     [
         (("--dim", "5", "--max-degree", "10"), None),
         (("--dim", "2", "--max-degree", "10"), "abc"),
+        (("--dim", "3", "--max-degree", "12", "--jobs", "-3"), None),
+        (("--dim", "3", "--max-degree", "12"), "0"),
     ],
 )
 def test_census_refusal_writes_nothing(tmp_path, capsys, monkeypatch, argv, env):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cywps.errors import DomainError
+from cywps.errors import DomainError, EnumerationLimitError
 from cywps.exact import rat_det, rat_rank
 from cywps.polytope import (
     Polytope,
@@ -173,7 +173,7 @@ def test_lattice_points_cubic_dual_bijection():
     assert len(lattice_points(poly)) == 10
 
 
-def test_simplex_knapsack_matches_box_scan():
+def test_dual_simplex_lattice_points_match_box_scan():
     rng = random.Random(5)
     for _ in range(10):
         dim = rng.choice((2, 3))
@@ -238,8 +238,7 @@ def test_hull_scaling_random(pts, q):
 
 @settings(max_examples=60, deadline=None)
 @given(rational_point_sets())
-# a simplex whose facet normals span a sublattice of index 14,183,138: the
-# knapsack in facet coordinates would try that many tuples per lattice point
+# a thin rational simplex whose facet normals span a sublattice of index 14,183,138
 @example([(Fraction(5, 2), 3, 2), (-6, 0, 2), (Fraction(2, 3), Fraction(-1, 3), -1),
           (Fraction(1, 2), -5, Fraction(1, 3))])
 def test_lattice_points_match_box_scan_random(pts):
@@ -263,6 +262,13 @@ def test_lattice_points_of_cube_on_hyperplane():
     )
     odd = [p for p in product(range(11), repeat=3) if sum(p) % 2]
     assert lattice_points(shifted) == [(*p, (sum(p) + 1) // 2) for p in odd]
+
+
+def test_lattice_points_refuses_large_box():
+    # 90,046 lattice points in a bounding box of 13,473,698 candidates
+    w = WeightVector((1, 1, 1, 1, 2, 6, 24))
+    with pytest.raises(EnumerationLimitError):
+        lattice_points(dual_simplex(w, mirror_lattice(w)))
 
 
 def test_bracket_examples():

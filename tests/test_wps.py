@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cywps.errors import NotWellFormedError
@@ -142,11 +142,14 @@ def test_mirror_lattice_properties_random(data):
     assert abs(rat_det(rows)) == w.degree
 
 
-def test_dual_simplex_lattice_points_match_newton_points():
-    w = WeightVector((1, 1, 1))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda d: st.lists(st.integers(1, 7), min_size=d + 1, max_size=d + 1)))
+@example([1, 1, 1])
+@example([1, 1, 6, 14, 21])
+def test_dual_simplex_lattice_points_match_newton_points(ws):
+    # the lattice points of the dual simplex are the shifted degree-w monomials
+    w = WeightVector(tuple(ws))
+    assume(weight_flags(w)[0])
     lat = mirror_lattice(w)
-    poly = dual_simplex(w, lat)
-    pts = lattice_points(poly)
-    assert len(pts) == len(newton_points(w))
     images = sorted(lat.m_coords([x - 1 for x in u]) for u in newton_points(w))
-    assert images == pts
+    assert lattice_points(dual_simplex(w, lat)) == images
