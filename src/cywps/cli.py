@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 internal inconsistency detected by ``verify``
 (Euler-number methods disagree), 2 usage or parse errors, 3 domain errors
-(e.g. ``stringy`` on a weight vector without the IP-property).
+(e.g. ``stringy`` without the IP-property), 4 enumeration limit exceeded.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, EnumerationLimitError
 from .euler import (
     mirror_test,
     stringy_mirror_closed,
@@ -197,6 +197,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except EnumerationLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

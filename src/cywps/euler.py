@@ -87,24 +87,25 @@ class SubsetSum(NamedTuple):
 
 def vafa_subset_sum(w: WeightVector) -> SubsetSum:
     """The subset form of the double sum, for well-formed weight vectors:
-    value = (1/w) sum_{|J| <= d-1} (-1)^|J| n_J^2 prod_{j in J} (w / w_j)."""
+    value = (1/w) sum_{|J| <= d-1} (-1)^|J| n_J^2 prod_{j in J} (w / w_j),
+    each partial summed in integers over the denominator prod_j w_j."""
     ws = w.weights
     deg = w.degree
     d = w.dim
-    partials = [Fraction(0) for _ in range(d)]
+    numerators = [0] * d
     for mask in range(1 << (d + 1)):
         size = mask.bit_count()
         if size > d - 1:
             continue
         n_j = subset_gcd(w, mask)
-        term = Fraction(n_j * n_j)
+        term = n_j * n_j * deg**size
         for j in range(d + 1):
-            if mask >> j & 1:
-                term *= Fraction(deg, ws[j])
-        if size % 2:
-            term = -term
-        partials[size] += term
-    return SubsetSum(sum(partials) / deg, tuple(partials))
+            if not mask >> j & 1:
+                term *= ws[j]
+        numerators[size] += -term if size % 2 else term
+    den = math.prod(ws)
+    partials = tuple(Fraction(n, den) for n in numerators)
+    return SubsetSum(Fraction(sum(numerators), den * deg), partials)
 
 
 def stringy_mirror_closed(w: WeightVector) -> Fraction:

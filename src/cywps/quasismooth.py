@@ -27,7 +27,8 @@ is emitted.  Emitted tuples are checked against the full |J| = 1 condition
 and gcd 1 and kept once each; ``is_transverse`` remains the final filter.
 
 The IP and unfiltered censuses scan all partitions, the IP one with weights
-capped at half the degree.
+capped at half the degree.  Every census runs ``has_ip_property`` only on
+vectors that are not transverse: transverse implies IP (Skarke, hep-th/9603007).
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _knapsack_argmax(ws: Sequence[int], deg: int, direction: Sequence[int]):
 
 
 # verify asks three times per vector (mirror_test and both stringy routes)
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=16)
 def has_ip_property(w: WeightVector) -> bool:
     """True if the degree-w Newton polytope is d-dimensional with (1, ..., 1)
     strictly interior.
@@ -310,17 +311,13 @@ def _census_degree(args: tuple[int, int, str]) -> list[CensusRecord]:
         well_formed, gorenstein = weight_flags(w)
         if not well_formed:
             continue
-        if flt == "ip":
-            # cheap-to-fail test first on this path
-            ip = has_ip_property(w)
-            if not ip:
-                continue
-            transverse = is_transverse(w)
-        else:
-            transverse = is_transverse(w)
-            if flt == "transverse" and not transverse:
-                continue
-            ip = has_ip_property(w)
+        transverse = is_transverse(w)
+        if flt == "transverse" and not transverse:
+            continue
+        # transverse implies IP (Skarke, hep-th/9603007), so the hull runs only on the rest
+        ip = transverse or has_ip_property(w)
+        if flt == "ip" and not ip:
+            continue
         chi = vafa_subset_sum(w).value
         out.append(CensusRecord(degree, weights, transverse, ip, gorenstein, chi))
     return out

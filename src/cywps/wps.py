@@ -10,7 +10,6 @@ generators v_0, ..., v_d satisfying sum(w_i v_i) = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache

@@ -12,10 +12,10 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from cywps.cli import main
 from cywps.euler import (
     k3_identity,
     mirror_test,
@@ -81,6 +81,7 @@ def run_cli(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@cache  # C6 and C12 share lists; has_ip_property's own cache holds only 16 vectors
 def ip_vectors_upto(dim, max_degree):
     return [w for w in well_formed_vectors(dim, max_degree) if has_ip_property(w)]
 

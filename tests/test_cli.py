@@ -154,6 +154,16 @@ def test_exit_code_domain_error(capsys):
     assert "IP" in err
 
 
+def test_exit_code_enumeration_limit(capsys, monkeypatch):
+    import cywps.wps
+
+    # (1,1,2,4,5) is IP but not transverse, so verify lists its Newton points
+    monkeypatch.setattr(cywps.wps, "NEWTON_POINT_LIMIT", 10)
+    code, out, err = run(capsys, "verify", "1,1,2,4,5")
+    assert (code, out) == (4, "")
+    assert err.startswith("error:") and "limit" in err
+
+
 def test_verify_dump_polytope(tmp_path, capsys):
     path = tmp_path / "simplex.txt"
     code, _, _ = run(capsys, "verify", "1,1,1", "--dump-polytope", str(path))

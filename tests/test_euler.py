@@ -17,7 +17,7 @@ from cywps.euler import (
 )
 from cywps.polytope import hull_with_faces
 from cywps.wps import WeightVector, mirror_lattice, mirror_simplex, newton_hull
-from conftest import random_well_formed, well_formed_vectors
+from conftest import random_well_formed
 
 
 def vafa_literal(w: WeightVector) -> Fraction:

@@ -1,17 +1,15 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cywps.errors import DomainError, EnumerationLimitError
-from cywps.exact import rat_det, rat_rank
+from cywps.exact import rat_rank
 from cywps.polytope import (
-    Polytope,
     bracket,
-    dual_face,
     dual_polytope,
     face_volume,
     fano_classification,

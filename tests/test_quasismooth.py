@@ -65,15 +65,35 @@ def test_transverse_examples():
     assert not is_transverse(WeightVector((1, 1, 2, 4, 5)))
 
 
-def test_transverse_implies_ip():
-    rng = random.Random(4)
-    found = 0
-    for _ in range(300):
-        w = random_well_formed(rng, rng.choice((2, 3)), 36)
-        if is_transverse(w):
-            found += 1
-            assert has_ip_property(w)
-    assert found > 0
+_THEOREM_MAX_DEGREE = {2: 400, 3: 200, 4: 120}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4)).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(d + 1, _THEOREM_MAX_DEGREE[d]))
+    )
+)
+@example((3, 66))
+@example((4, 120))
+def test_transverse_implies_ip(case):
+    # the census takes IP from this theorem, so the certificate test checks it here
+    dim, degree = case
+    for weights in transverse_candidates(dim, degree):
+        w = WeightVector(weights)
+        if weight_flags(w)[0] and is_transverse(w):
+            assert has_ip_property(w), weights
+
+
+def test_transverse_census_never_runs_ip_test(monkeypatch):
+    import cywps.quasismooth as qs
+
+    def fail(w):
+        raise AssertionError(f"has_ip_property ran on {w}")
+
+    monkeypatch.setattr(qs, "has_ip_property", fail)
+    records = census(4, 60, "transverse", jobs=1)
+    assert records and all(r.transverse and r.ip for r in records)
 
 
 def test_census_d2():
@@ -94,10 +114,24 @@ def test_census_all_filter_contains_non_transverse():
     by_weights = {r.weights: r for r in records}
     assert (1, 1, 1) in by_weights and by_weights[(1, 1, 1)].transverse
     assert any(not r.transverse for r in records)
+    # d = 4 has IP vectors that are not transverse, e.g. (1,1,2,4,5)
+    records += census(4, 16, "all")
+    assert any(r.ip and not r.transverse for r in records)
+    assert any(not r.ip for r in records)
     for r in records:
-        assert weight_flags(WeightVector(r.weights))[0]
-        if r.transverse:
-            assert r.ip
+        w = WeightVector(r.weights)
+        assert weight_flags(w)[0]
+        assert r.ip == has_ip_property(w)
+
+
+def test_ip_cache_is_small_and_serves_verify():
+    from cywps.euler import mirror_test
+
+    has_ip_property.cache_clear()
+    mirror_test(WeightVector((1, 2, 3, 4, 5)))
+    assert has_ip_property.cache_info().hits >= 2
+    census(3, 30, "ip", jobs=1)
+    assert has_ip_property.cache_info().currsize <= 16
 
 
 def test_census_monotone_in_bound():

@@ -1,6 +1,4 @@
 import random
-from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,7 +11,6 @@ from cywps.wps import (
     WeightVector,
     dual_simplex,
     mirror_lattice,
-    mirror_simplex,
     newton_count,
     newton_points,
     subset_gcd,
