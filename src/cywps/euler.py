@@ -47,20 +47,25 @@ from .wps import (
 def vafa_double_sum(w: WeightVector) -> Fraction:
     """The double sum (1/w) sum_{l,r} prod_{i : l q_i, r q_i integral} (1 - 1/q_i).
 
-    Membership l*q_i integral is the divisibility (w / gcd(w, w_i)) | l, so each
-    l is reduced to the bitmask of its fixed indices; the sum is then taken over
-    all w^2 pairs by combining bucket counts with cached subset products.
+    l q_i is integral when p_i = w / gcd(w, w_i) divides l.  Every p_i divides
+    w, so w / lcm(p_i : i in T) of the l in [0, w) are fixed by all of T, and
+    Moebius inversion over supersets gives how many l have each exact fixed
+    set, in O(n 2^n) steps for any degree.  The w^2 pairs are then summed as
+    products of these counts with cached subset products.
     """
     ws = w.weights
     deg = w.degree
+    n = len(ws)
     periods = [deg // math.gcd(deg, wi) for wi in ws]
-    counts: dict[int, int] = {}
-    for l in range(deg):
-        mask = 0
-        for i, p in enumerate(periods):
-            if l % p == 0:
-                mask |= 1 << i
-        counts[mask] = counts.get(mask, 0) + 1
+    lcms = [1] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        lcms[mask] = math.lcm(lcms[mask ^ low], periods[low.bit_length() - 1])
+    counts = [deg // m for m in lcms]
+    for i in range(n):
+        for mask in range(1 << n):
+            if not mask >> i & 1:
+                counts[mask] -= counts[mask | 1 << i]
     factors = [Fraction(wi - deg, wi) for wi in ws]
     prod_cache: dict[int, Fraction] = {0: Fraction(1)}
 
@@ -73,7 +78,7 @@ def vafa_double_sum(w: WeightVector) -> Fraction:
         return got
 
     total = Fraction(0)
-    items = list(counts.items())
+    items = [(mask, count) for mask, count in enumerate(counts) if count]
     for s_mask, s_count in items:
         for t_mask, t_count in items:
             total += s_count * t_count * product(s_mask & t_mask)

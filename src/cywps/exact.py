@@ -9,8 +9,9 @@ Every row reduction in the package goes through one integer kernel,
 ``echelon``: it clears each row's denominators once, at entry, and then
 runs fraction-free Gauss-Jordan elimination, dividing each updated row by its
 content so the entries stay small.  Rank, nullspace, solve and unimodular
-inverse are thin readings of its output; determinants use the Bareiss
-elimination in ``IntMatrix.det``.  ``Fraction`` appears only in results.
+inverse are thin readings of its output; every determinant, maximal minors
+included, goes through the one Bareiss elimination ``int_det``.  ``Fraction``
+appears only in results.
 The Smith normal form is separate, because it needs unimodular transforms.
 """
 
@@ -74,30 +75,35 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def det(self) -> int:
-        """Exact determinant by fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+        return int_det(self.to_rows())
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free Bareiss
+    elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

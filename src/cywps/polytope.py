@@ -14,10 +14,13 @@ Lattice points come from one pruned bounding-box scan for every polytope,
 the dual simplex of a weight vector included; its lattice points are also the
 degree-w monomials that ``wps.newton_points`` lists.
 
-Normalized volumes Vol_k = k! * vol_k are computed by a pulling triangulation
-over the face lattice, measured against the saturated sublattice of the face
-direction span; a rational face F is measured as the lattice face lF, by the
-scaling rule Vol_k(F) = Vol_k(lF) / l^k.
+Facet normals are the signed maximal minors (cofactors) of the edge vectors,
+and a hull point is a vertex when the facets through it meet in it alone, so
+neither needs an elimination.  Normalized volumes Vol_k = k! * vol_k come from
+a pulling triangulation over the face lattice: a simplex measures the gcd of
+the k x k minors of its edge vectors, the index of its edge lattice in the
+saturated lattice of the face direction span.  A rational face F is measured
+as the lattice face lF, by the scaling rule Vol_k(F) = Vol_k(lF) / l^k.
 """
 
 from __future__ import annotations
@@ -26,20 +29,17 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, EnumerationLimitError
 from .exact import (
-    IntMatrix,
     as_exact,
     clear_denominators,
     echelon,
     format_rational,
+    int_det,
     primitive_vector,
-    rat_nullspace,
-    rat_rank,
-    smith_normal_form,
-    unimodular_inverse,
 )
 
 Point = tuple  # coordinates are int or Fraction
@@ -194,7 +194,7 @@ class Polytope:
 
     @property
     def top_face(self) -> Face:
-        return self.faces(self.dim)[0]
+        return Face(self.dim, tuple(range(len(self.vertices))), ())
 
     def subfaces(self, face: Face) -> tuple[Face, ...]:
         """Faces of one dimension lower contained in ``face``."""
@@ -258,15 +258,29 @@ def _chart_coordinates(basis: Sequence[Point], diffs: Sequence[Point]):
     ]
 
 
+def _maximal_minors(rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The k x k minors of a k x n integer matrix, column sets in
+    lexicographic order."""
+    return [
+        int_det([[r[j] for j in cols] for r in rows]) for cols in combinations(range(n), len(rows))
+    ]
+
+
 def _hyperplane(points: Sequence[Point], inside: Point) -> tuple[tuple[int, ...], int]:
     """Primitive normal and offset of the hyperplane through k integer points
-    in R^k, oriented so that <normal, inside> > -offset."""
+    in R^k, oriented so that <normal, inside> > -offset.
+
+    The normal is the vector of signed maximal minors (the cofactors) of the
+    k - 1 edge vectors, divided by their gcd; it vanishes exactly when the
+    points do not span a hyperplane."""
     base = points[0]
     rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    null = rat_nullspace(rows, len(base))
-    if len(null) != 1:
+    # reversed, the minors come in the order of the column each one omits
+    minors = _maximal_minors(rows, len(base))[::-1]
+    g = math.gcd(*minors)
+    if not g:
         raise ValueError("points do not span a hyperplane")
-    normal, _ = primitive_vector(null[0])
+    normal = tuple((-x if j % 2 else x) // g for j, x in enumerate(minors))
     level = _dot(normal, base)
     side = _dot(normal, inside)
     if side < level:
@@ -340,15 +354,19 @@ def _hull_full_dim(pts: list[Point]) -> list[tuple[tuple[int, ...], Fraction, li
     for vset, nrm, off in pieces.values():
         merged.setdefault((nrm, off), set()).update(vset)
 
+    # a candidate is a vertex when the facets through it meet in it alone,
+    # i.e. no other candidate lies on all of them: otherwise they meet in a
+    # face of positive dimension, whose vertices are candidates too
     candidates = sorted(set().union(*merged.values()))
-    incident: dict[int, list[tuple[int, ...]]] = {c: [] for c in candidates}
+    meets = {c: -1 for c in candidates}  # bitsets over candidate ids
     facet_points: dict[tuple[tuple[int, ...], int], list[int]] = {}
     for (nrm, off) in merged:
         on_plane = [c for c in candidates if _dot(nrm, pts[c]) + off == 0]
         facet_points[(nrm, off)] = on_plane
+        mask = sum(1 << c for c in on_plane)
         for c in on_plane:
-            incident[c].append(nrm)
-    vertex_ids = {c for c in candidates if rat_rank(incident[c]) == k}
+            meets[c] &= mask
+    vertex_ids = {c for c in candidates if meets[c] == 1 << c}
     return [
         (nrm, Fraction(off, m), sorted(v for v in pt_ids if v in vertex_ids))
         for (nrm, off), pt_ids in facet_points.items()
@@ -549,44 +567,22 @@ def bracket(p: Polytope) -> Polytope:
 # -- volumes ----------------------------------------------------------------------
 
 
-def _saturated_coords(vertices: Sequence[Point]) -> list[tuple[int, ...]]:
-    """Coordinates of integer vertices w.r.t. the saturated lattice of their
-    direction span."""
-    base = vertices[0]
-    diffs = [tuple(x - b for x, b in zip(v, base)) for v in vertices[1:]]
-    prim_rows = []
-    for d in diffs:
-        if any(d):
-            prim, _ = primitive_vector(d)
-            prim_rows.append(list(prim))
-    k = rat_rank(prim_rows)
-    _, _, V = smith_normal_form(IntMatrix.from_rows(prim_rows))
-    vinv = unimodular_inverse(V)
-    n = vinv.rows
-    coords = []
-    for d in [tuple(0 for _ in base)] + diffs:
-        full = [sum(d[i] * vinv.at(i, j) for i in range(n)) for j in range(n)]
-        assert all(x == 0 for x in full[k:]), "direction outside saturated span"
-        coords.append(tuple(full[:k]))
-    return coords
-
-
-def _simplex_volume(coords: Sequence[Sequence[int]]) -> int:
-    base = coords[0]
-    return abs(IntMatrix.from_rows([[x - b for x, b in zip(c, base)] for c in coords[1:]]).det())
-
-
 def face_volume(p: Polytope, face: Face) -> Fraction:
-    """Normalized volume Vol_k of a face, relative to span(face) intersect Z^n."""
+    """Normalized volume Vol_k of a face, relative to span(face) intersect Z^n.
+
+    The edge vectors of each simplex of the triangulation span a sublattice of
+    the saturated lattice span(face) intersect Z^n, of index the gcd of their
+    k x k minors; that index is the simplex's normalized volume."""
     if face.dim == 0:
         return Fraction(1)
     # Vol_k(F) = Vol_k(lF) / l^k, with lF integral
     scale, verts = _cleared([p.vertices[i] for i in face.vertex_ids], 1)
-    coords = _saturated_coords(verts)
     index = {vid: i for i, vid in enumerate(face.vertex_ids)}
-    total = sum(
-        _simplex_volume([coords[index[v]] for v in simplex]) for simplex in p._triangulate(face)
-    )
+    total = 0
+    for simplex in p._triangulate(face):
+        base, *rest = (verts[index[v]] for v in simplex)
+        edges = [[x - b for x, b in zip(v, base)] for v in rest]
+        total += math.gcd(*_maximal_minors(edges, p.ambient_dim))
     return Fraction(total, scale**face.dim)
 
 

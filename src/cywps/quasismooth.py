@@ -134,6 +134,9 @@ def has_ip_property(w: WeightVector) -> bool:
     polytope along any direction is an integer knapsack maximum, so a
     direction with support 0 after shifting certifies a boundary point, while
     a certificate hull with the shifted point strictly inside certifies IP.
+    Along the 2d coordinate axes the supports, the extreme exponents of each
+    z_i, and a monomial attaining each are read off the reachability bitsets
+    of the pre-check; the knapsack runs only along the other directions.
     (The shifted point is always the unique coordinate-positive lattice point:
     any other would add a non-negative relation among positive weights.)
     """
@@ -164,29 +167,43 @@ def has_ip_property(w: WeightVector) -> bool:
             seen.add(p)
             points.append(p)
 
-    for i in range(d):
-        for sgn in (1, -1):
-            y = tuple(sgn if j == i else 0 for j in range(d))
-            h, p = support(y)
-            assert h >= 0, "the shifted origin lies in the polytope"
+    def monomial(i: int, a: int) -> tuple[int, ...]:
+        # a degree-w monomial with u_i = a, read back along the memo chain of
+        # the pre-check mask without z_i (each step drops the lowest bit)
+        u = [0] * n
+        u[i], t, mask = a, deg - a * ws[i], full ^ (1 << i)
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            while not memo[mask ^ low] >> t & 1:
+                u[j] += 1
+                t -= ws[j]
+            mask ^= low
+        return tuple(u)
+
+    # the supports along the 2d axes: the exponent of z_i ranges from 0 (the
+    # pre-check) to the largest a with deg - a * w_i reachable without z_i
+    for i in range(1, n):
+        without = memo[full ^ (1 << i)]
+        top = deg // ws[i]
+        while not without >> (deg - top * ws[i]) & 1:
+            top -= 1
+        assert top >= 1, "the shifted origin lies in the polytope"
+        if top == 1:
+            return False
+        for a in (top, 0):
+            add(tuple(x - 1 for x in monomial(i, a)[1:]))
+
+    while rat_rank(points) < d:
+        y, _ = primitive_vector(rat_nullspace(points, d)[0])
+        for yy in (y, tuple(-x for x in y)):
+            h, p = support(yy)
             if h == 0:
                 return False
             add(p)
 
     zero = (0,) * d
     while True:
-        if rat_rank(points) < d:
-            refuter = rat_nullspace(points, d)[0]
-            y, _ = primitive_vector(refuter)
-            progressed = False
-            for yy in (y, tuple(-x for x in y)):
-                h, p = support(yy)
-                if h == 0:
-                    return False
-                add(p)
-                progressed = True
-            assert progressed
-            continue
         cert = hull_with_faces(points + [zero])
         worst = min(cert.facets, key=lambda f: (f.offset, f.normal))
         if worst.offset > 0:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cywps.errors import DomainError, NotIPError
@@ -42,12 +42,19 @@ def test_double_sum_examples():
     assert vafa_double_sum(WeightVector((1, 1, 2, 4, 5))) == Fraction(-1032, 5)
 
 
-def test_double_sum_against_literal_loop():
-    rng = random.Random(2024)
-    cases = [WeightVector((1, 1, 1)), WeightVector((1, 2, 3)), WeightVector((1, 1, 2, 4, 5))]
-    cases += [random_well_formed(rng, rng.choice((2, 3)), 30) for _ in range(10)]
-    for w in cases:
-        assert vafa_double_sum(w) == vafa_literal(w)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda d: st.lists(st.integers(1, 9), min_size=d + 1, max_size=d + 1)
+    )
+)
+@example([1, 1, 1])
+@example([1, 2, 3])
+@example([1, 1, 2, 4, 5])
+@example([2, 2, 4, 6])  # not well-formed: all four periods coincide
+def test_double_sum_against_literal_loop(weights):
+    w = WeightVector(tuple(weights))
+    assert vafa_double_sum(w) == vafa_literal(w)
 
 
 def test_subset_sum_partials():

@@ -1,14 +1,22 @@
+import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cywps.errors import DomainError, EnumerationLimitError
-from cywps.exact import rat_rank
+from cywps.exact import (
+    IntMatrix,
+    primitive_vector,
+    rat_rank,
+    smith_normal_form,
+    unimodular_inverse,
+)
 from cywps.polytope import (
+    _hyperplane,
     bracket,
     dual_polytope,
     face_volume,
@@ -79,27 +87,48 @@ def _assert_vh_consistent(poly):
             )
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+_coord = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(2, 3),
-    st.data(),
-)
+@given(st.integers(2, 4), st.data())
 def test_hull_vh_consistency_random(dim, data):
-    npts = data.draw(st.integers(dim + 1, 12))
-    pts = data.draw(
-        st.lists(
-            st.tuples(*(st.integers(-5, 5) for _ in range(dim))),
-            min_size=npts,
-            max_size=npts,
-        )
-    )
-    poly = hull_with_faces(pts)
-    if poly.dim < dim:
+    npts = data.draw(st.integers(dim + 1, 9))
+    pts = data.draw(st.lists(st.tuples(*[_coord] * dim), min_size=npts, max_size=npts))
+    first = hull_with_faces(pts)
+    if first.dim < dim:
         return
-    _assert_vh_consistent(poly)
-    # every input point lies inside
-    for p in pts:
-        assert poly.contains(p)
+    # boundary points that are not vertices: facet barycentres, and the
+    # midpoints of vertex pairs that share an edge or a face
+    extra = [tuple(Fraction(a + b, 2) for a, b in zip(u, v)) for u, v in combinations(first.vertices, 2)]
+    for f in first.facets:
+        vs = [first.vertices[i] for i in f.vertex_ids]
+        extra.append(tuple(Fraction(sum(c), len(vs)) for c in zip(*vs)))
+    # listed first, the extra points seed the start simplex and survive as
+    # hull candidates, so the vertex test has to reject them
+    for points in (pts + extra, extra + pts):
+        poly = hull_with_faces(points)
+        assert poly.vertices == first.vertices
+        assert poly.facets == first.facets
+        _assert_vh_consistent(poly)
+        for p in points:
+            assert poly.contains(p)
+            # the rank definition: p is a vertex iff its tight facet normals have rank d
+            tight = [f.normal for f in poly.facets if _dot(f.normal, p) + f.offset == 0]
+            assert (p in poly.vertices) == (rat_rank(tight) == dim)
+
+
+def test_hyperplane_cofactor_normal_and_degenerate_input():
+    assert _hyperplane([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (0, 0, 0)) == ((-1, -1, -1), 1)
+    assert _hyperplane([(0, 0), (4, 6)], (1, 0)) == ((3, -2), 0)
+    with pytest.raises(ValueError, match="do not span"):
+        _hyperplane([(0, 0, 0), (1, 1, 1), (2, 2, 2)], (1, 0, 0))
+    with pytest.raises(ValueError, match="lies on the hyperplane"):
+        _hyperplane([(0, 0, 0), (1, 0, 0), (0, 1, 0)], (1, 1, 0))
 
 
 def test_cross_polytope_dual_is_cube():
@@ -195,14 +224,11 @@ def _box_points(poly):
     return product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
 
 
-_coord = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
-
-
 @st.composite
-def rational_point_sets(draw):
-    """k + 1 to k + 5 rational points in R^2..R^4, in general position (k = n)
-    or confined to an affine subspace of dimension at most k < n."""
-    n = draw(st.integers(2, 4))
+def rational_point_sets(draw, max_n=4):
+    """k + 1 to k + 5 rational points in R^2..R^max_n, in general position
+    (k = n) or confined to an affine subspace of dimension at most k < n."""
+    n = draw(st.integers(2, max_n))
     k = draw(st.integers(1, n))
     npts = draw(st.integers(k + 1, k + 5))
     if k == n:
@@ -242,6 +268,46 @@ def test_hull_scaling_random(pts, q):
 def test_lattice_points_match_box_scan_random(pts):
     poly = hull_with_faces(pts)
     assert lattice_points(poly) == sorted(p for p in _box_points(poly) if poly.contains(p))
+
+
+def volume_by_snf(poly, face):
+    """Vol_k of a face by an independent route: coordinates of the cleared
+    vertices in a basis of the saturated lattice of the face direction span,
+    read off the Smith normal form, then one determinant per simplex."""
+    if face.dim == 0:
+        return Fraction(1)
+    verts = [poly.vertices[i] for i in face.vertex_ids]
+    scale = math.lcm(*(Fraction(x).denominator for v in verts for x in v))
+    base, *rest = [tuple(int(scale * x) for x in v) for v in verts]
+    diffs = [(0,) * len(base)] + [tuple(x - b for x, b in zip(v, base)) for v in rest]
+    prim_rows = [list(primitive_vector(d)[0]) for d in diffs if any(d)]
+    k = rat_rank(prim_rows)
+    _, _, v = smith_normal_form(IntMatrix.from_rows(prim_rows))
+    vinv = unimodular_inverse(v)
+    n = vinv.rows
+    coords = {}
+    for vid, d in zip(face.vertex_ids, diffs):
+        full = [sum(d[i] * vinv.at(i, j) for i in range(n)) for j in range(n)]
+        assert not any(full[k:]), "direction outside saturated span"
+        coords[vid] = full[:k]
+    total = 0
+    for simplex in poly._triangulate(face):
+        b = coords[simplex[0]]
+        edges = [[x - y for x, y in zip(coords[u], b)] for u in simplex[1:]]
+        total += abs(IntMatrix.from_rows(edges).det())
+    return Fraction(total, scale**face.dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_point_sets(max_n=5))
+# a segment of lattice length 2 in R^3, and a triangle of index 2 in a plane of R^4
+@example([(0, 0, 0), (2, 4, 6)])
+@example([(0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, Fraction(1, 2))])
+def test_face_volumes_match_snf_oracle(pts):
+    poly = hull_with_faces(pts)
+    for faces in poly.faces_by_dim.values():
+        for face in faces:
+            assert face_volume(poly, face) == volume_by_snf(poly, face)
 
 
 def test_lattice_points_of_cube_on_hyperplane():

@@ -1,6 +1,7 @@
 import hashlib
+import json
 import math
-import random
+import os
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,6 @@ from cywps.quasismooth import (
     transverse_candidates,
 )
 from cywps.wps import WeightVector, newton_points, weight_flags
-from conftest import random_well_formed
 
 
 def ip_by_full_hull(w: WeightVector) -> bool:
@@ -51,11 +51,49 @@ def test_ip_114_boundary_point():
     assert (2, 0, 1) in pts and (0, 2, 1) in pts and (1, 1, 1) in pts
 
 
-def test_ip_against_full_hull_random():
-    rng = random.Random(31337)
-    for _ in range(40):
-        w = random_well_formed(rng, rng.choice((2, 3)), 40)
-        assert has_ip_property(w) == ip_by_full_hull(w)
+# weights of any order, to cover the dropped coordinate u_0 both ways
+_ip_weights = st.sampled_from(((2, 14), (3, 12), (4, 9))).flatmap(
+    lambda case: st.lists(st.integers(1, case[1]), min_size=case[0] + 1, max_size=case[0] + 1)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ip_weights)
+# refuted by the axis supports alone: z_3 has largest exponent 1, yet no weight
+# exceeds half the degree
+@example([2, 3, 3, 7])
+@example([3, 3, 4, 8])
+# decided in rounds along certificate facet normals, with the knapsack
+@example([1, 5, 8, 10])
+@example([1, 1, 1, 4, 4])
+@example([1, 5, 5, 7, 7])
+@example([1, 1, 1, 4, 5])
+@example([5, 1, 7, 5, 7])
+def test_ip_against_full_hull_random(weights):
+    w = WeightVector(tuple(weights))
+    assert has_ip_property(w) == ip_by_full_hull(w)
+
+
+def test_ip_axis_supports_refute_without_knapsack(monkeypatch):
+    import cywps.quasismooth as qs
+
+    def fail(*args):
+        raise AssertionError("knapsack ran")
+
+    monkeypatch.setattr(qs, "_knapsack_argmax", fail)
+    for ws in ((2, 3, 3, 7), (3, 3, 4, 8)):
+        w = WeightVector(ws)
+        assert 2 * max(ws) <= w.degree
+        assert not has_ip_property(w)
+
+
+def test_ip_pool_vectors_are_ip():
+    # the pinned IP pool of the benchmark, read only
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "ip_pool.json")
+    with open(path, encoding="ascii") as fh:
+        pool = json.load(fh)
+    assert len(pool) == 3039
+    assert all(has_ip_property(WeightVector.parse(v)) for v in pool)
 
 
 def test_transverse_examples():
