@@ -26,10 +26,6 @@ from .quasismooth import census_tsv, has_ip_property, is_transverse
 from .wps import WeightVector, mirror_lattice, mirror_simplex, weight_flags
 
 
-def _parse_weights(text: str) -> WeightVector:
-    return WeightVector.parse(text)
-
-
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload))
@@ -41,7 +37,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _cmd_check(args) -> int:
-    w = _parse_weights(args.weights)
+    w = WeightVector.parse(args.weights)
     well_formed, gorenstein = weight_flags(w)
     _emit(
         {
@@ -58,7 +54,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_euler(args) -> int:
-    w = _parse_weights(args.weights)
+    w = WeightVector.parse(args.weights)
     payload: dict = {
         "weights": list(w.weights) if args.format == "json" else str(w),
         "degree": w.degree,
@@ -79,7 +75,7 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_stringy(args) -> int:
-    w = _parse_weights(args.weights)
+    w = WeightVector.parse(args.weights)
     payload: dict = {
         "weights": list(w.weights) if args.format == "json" else str(w),
         "degree": w.degree,
@@ -99,7 +95,7 @@ def _cmd_stringy(args) -> int:
 
 
 def _cmd_mirror(args) -> int:
-    w = _parse_weights(args.weights)
+    w = WeightVector.parse(args.weights)
     poly = ghv_polynomial(w)
     if args.format == "json":
         print(json.dumps(poly.to_json_obj()))
@@ -109,7 +105,7 @@ def _cmd_mirror(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    w = _parse_weights(args.weights)
+    w = WeightVector.parse(args.weights)
     report = mirror_test(w)
     if args.dump_polytope:
         simplex = mirror_simplex(mirror_lattice(w))

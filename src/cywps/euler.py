@@ -29,8 +29,9 @@ from .polytope import (
     dual_polytope,
     face_volume,
     fano_classification,
-    normal_cone_section,
     normalized_volume,
+    origin,
+    simplex_volume,
 )
 from .quasismooth import has_ip_property, is_transverse
 from .wps import (
@@ -145,7 +146,9 @@ def stringy_mirror_closed(w: WeightVector) -> Fraction:
 def stringy_polytope(lattice: MirrorLattice) -> Fraction:
     """Stringy Euler number from the mirror simplex alone:
     sum_{k=1..d} (-1)^(k-1) sum_{dim theta = k} Vol_k(theta) * Vol_{d-k}(pyramid
-    over the polar face), all volumes by direct triangulation.
+    over the polar face).  Every face and section is a simplex: the route
+    builds one hull, the mirror simplex, and measures with ``simplex_volume``
+    alone, using no weight, n_J or subset gcd, independently of the closed form.
 
     Requires the bracket of the dual simplex to be canonical Fano, which for a
     weight vector is exactly the IP-property.
@@ -156,14 +159,15 @@ def stringy_polytope(lattice: MirrorLattice) -> Fraction:
             f"bracket of the dual simplex of {w} is not canonical (no IP-property)"
         )
     poly = mirror_simplex(lattice)
-    d = poly.dim
+    zero = origin(poly.ambient_dim)
+    polar = [f.polar_vertex() for f in poly.facets]
     total = Fraction(0)
-    for k in range(1, d + 1):
+    for k in range(1, poly.dim + 1):
         sign = 1 if k % 2 else -1
         for face in poly.faces(k):
-            vol = face_volume(poly, face)
-            section = normalized_volume(normal_cone_section(poly, face))
-            total += sign * vol * section
+            # the polar face of a simplex face is a simplex, and so is its pyramid
+            section = simplex_volume([zero, *(polar[j] for j in face.facet_ids)])
+            total += sign * face_volume(poly, face) * section
     return total
 
 
@@ -285,11 +289,12 @@ def mirror_test(w: WeightVector) -> EulerReport:
                 f"chi_orb_formula = {format_rational(chi_double)} is not an integer: "
                 "no Landau-Ginzburg description and no mirror at all"
             )
-        lattice = mirror_lattice(w)
         hull = newton_hull(w, lattice)
-        flags = fano_classification(hull)
-        if flags.reflexive:
+        try:
             chi_geom = stringy_reflexive(hull)
+        except DomainError:  # refused exactly when the Newton polytope is not reflexive
+            pass
+        else:
             notes.append(
                 f"newton polytope hypersurface is a Calabi-Yau with chi_str = "
                 f"{format_rational(chi_geom)}"

@@ -16,11 +16,12 @@ degree-w monomials that ``wps.newton_points`` lists.
 
 Facet normals are the signed maximal minors (cofactors) of the edge vectors,
 and a hull point is a vertex when the facets through it meet in it alone, so
-neither needs an elimination.  Normalized volumes Vol_k = k! * vol_k come from
-a pulling triangulation over the face lattice: a simplex measures the gcd of
-the k x k minors of its edge vectors, the index of its edge lattice in the
-saturated lattice of the face direction span.  A rational face F is measured
-as the lattice face lF, by the scaling rule Vol_k(F) = Vol_k(lF) / l^k.
+neither needs an elimination.  Normalized volumes Vol_k = k! * vol_k have one
+kernel, ``simplex_volume``: a simplex measures the gcd of the k x k minors of
+its edge vectors, the index of its edge lattice in the saturated lattice of
+its direction span, and a rational simplex S is measured as the lattice
+simplex lS, by the scaling rule Vol_k(S) = Vol_k(lS) / l^k.  A face is the sum
+of the simplices of its pulling triangulation over the face lattice.
 """
 
 from __future__ import annotations
@@ -567,29 +568,27 @@ def bracket(p: Polytope) -> Polytope:
 # -- volumes ----------------------------------------------------------------------
 
 
-def face_volume(p: Polytope, face: Face) -> Fraction:
-    """Normalized volume Vol_k of a face, relative to span(face) intersect Z^n.
+def simplex_volume(points: Sequence[Point]) -> Fraction:
+    """Normalized volume Vol_k of conv(points), k = len(points) - 1, relative
+    to span(edges) intersect Z^n; a single point measures 1.  Cleared by the
+    lcm l of their denominators, the k edge vectors span a sublattice of the
+    saturated lattice of their span, of index the gcd of their k x k minors,
+    and Vol_k = index / l^k."""
+    scale, (base, *rest) = _cleared(points, 1)
+    edges = [[x - b for x, b in zip(v, base)] for v in rest]
+    return Fraction(math.gcd(*_maximal_minors(edges, len(base))), scale ** len(edges))
 
-    The edge vectors of each simplex of the triangulation span a sublattice of
-    the saturated lattice span(face) intersect Z^n, of index the gcd of their
-    k x k minors; that index is the simplex's normalized volume."""
-    if face.dim == 0:
-        return Fraction(1)
-    # Vol_k(F) = Vol_k(lF) / l^k, with lF integral
-    scale, verts = _cleared([p.vertices[i] for i in face.vertex_ids], 1)
-    index = {vid: i for i, vid in enumerate(face.vertex_ids)}
-    total = 0
-    for simplex in p._triangulate(face):
-        base, *rest = (verts[index[v]] for v in simplex)
-        edges = [[x - b for x, b in zip(v, base)] for v in rest]
-        total += math.gcd(*_maximal_minors(edges, p.ambient_dim))
-    return Fraction(total, scale**face.dim)
+
+def face_volume(p: Polytope, face: Face) -> Fraction:
+    """Normalized volume Vol_k of a face, relative to span(face) intersect Z^n:
+    the sum of ``simplex_volume`` over its pulling triangulation."""
+    return sum(
+        (simplex_volume([p.vertices[i] for i in s]) for s in p._triangulate(face)), Fraction(0)
+    )
 
 
 def normalized_volume(p: Polytope) -> Fraction:
     """Normalized volume of the whole polytope (Vol_0 of a point is 1)."""
-    if p.dim == 0:
-        return Fraction(1)
     return face_volume(p, p.top_face)
 
 
@@ -626,10 +625,10 @@ def fano_classification(p: Polytope) -> FanoFlags:
 
 def normal_cone_section(p: Polytope, face: Face) -> Polytope:
     """The pyramid over the polar face: conv({0} + vertices of face*), of
-    dimension d - k; for the top face this is the single point {0}."""
+    dimension d - k; for the top face this is the single point {0}.  This
+    general construction builds a hull; on a simplex the section is a simplex,
+    which ``stringy_polytope`` measures directly with ``simplex_volume``."""
     if not p.origin_interior():
         raise DomainError("normal cone section requires the origin strictly interior")
     zero = origin(p.ambient_dim)
-    if face.dim == p.dim:
-        return hull_with_faces([zero])
     return hull_with_faces([zero] + [p.facets[j].polar_vertex() for j in face.facet_ids])

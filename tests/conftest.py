@@ -1,9 +1,33 @@
+import json
+import os
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from cywps.quasismooth import iter_weight_partitions
+from cywps.quasismooth import has_ip_property, iter_weight_partitions
 from cywps.wps import WeightVector, weight_flags
+
+IP_POOL_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "ip_pool.json")
+
+
+def ip_pool() -> dict[str, str]:
+    """The pinned IP pool of the benchmark, read only: every d = 3 and every
+    d = 4 transverse weight vector of degree <= 120 but the showcase ones,
+    mapped to its orbifold Euler number."""
+    with open(IP_POOL_PATH, encoding="ascii") as fh:
+        return json.load(fh)
+
+
+def small_ip_vectors(dims, max_weight=4):
+    """Well-formed IP weight vectors, unsorted, with d in ``dims`` and every
+    weight at most ``max_weight``."""
+    return (
+        st.sampled_from(dims)
+        .flatmap(lambda d: st.lists(st.integers(1, max_weight), min_size=d + 1, max_size=d + 1))
+        .map(lambda ws: WeightVector(tuple(ws)))
+        .filter(lambda w: weight_flags(w)[0] and has_ip_property(w))
+    )
 
 
 def well_formed_vectors(dim, max_degree):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cywps import euler, polytope, quasismooth, wps
 from cywps.errors import DomainError, NotIPError
 from cywps.euler import (
     k3_identity,
@@ -15,9 +16,11 @@ from cywps.euler import (
     vafa_double_sum,
     vafa_subset_sum,
 )
-from cywps.polytope import hull_with_faces
+from cywps.exact import format_rational
+from cywps.polytope import fano_classification, hull_with_faces
+from cywps.quasismooth import census, has_ip_property
 from cywps.wps import WeightVector, mirror_lattice, mirror_simplex, newton_hull
-from conftest import random_well_formed
+from conftest import ip_pool, random_well_formed, small_ip_vectors
 
 
 def vafa_literal(w: WeightVector) -> Fraction:
@@ -101,6 +104,24 @@ def test_stringy_polytope_examples():
     assert stringy_polytope(mirror_lattice(WeightVector((1, 1, 1, 1)))) == 24
 
 
+def test_stringy_polytope_builds_one_hull(monkeypatch):
+    calls = []
+
+    def spy(points):
+        calls.append(points)
+        return hull_with_faces(points)
+
+    for module in (polytope, quasismooth, wps):
+        monkeypatch.setattr(module, "hull_with_faces", spy)
+    for ws, chi in (((1, 1, 2), 0), ((1, 1, 1, 1), 24), ((1, 2, 3, 4, 5), 126)):
+        w = WeightVector(ws)
+        has_ip_property(w)  # the IP test builds certificate hulls of its own
+        lattice = mirror_lattice(w)
+        calls.clear()
+        assert stringy_polytope(lattice) == chi
+        assert len(calls) == 1  # the mirror simplex
+
+
 def test_stringy_reflexive_examples():
     w = WeightVector((1, 1, 6, 14, 21))
     hull = newton_hull(w, mirror_lattice(w))
@@ -168,6 +189,49 @@ def test_mirror_test_sign_relation():
         if report.chi_str_mirror is not None:
             d = len(report.weights) - 1
             assert report.chi_str_mirror == (-1) ** (d - 1) * report.chi_orb_formula
+
+
+def test_mirror_test_reflexivity_without_classification(monkeypatch):
+    expected = {ws: mirror_test(WeightVector(ws)) for ws in ((1, 1, 6, 14, 21), (1, 1, 2, 4, 5))}
+
+    def fail(*args):
+        raise AssertionError("mirror_test classified a polytope")
+
+    monkeypatch.setattr(polytope, "bracket", fail)
+    monkeypatch.setattr(euler, "fano_classification", fail)
+    for ws, report in expected.items():
+        assert "Calabi-Yau" in " ".join(report.notes)
+        assert mirror_test(WeightVector(ws)) == report
+
+
+def test_mirror_test_calabi_yau_note_iff_reflexive():
+    vectors = [
+        WeightVector(r.weights)
+        for r in census(3, 48, "ip") + census(4, 20, "all")
+        if r.ip and not r.transverse
+    ]
+    assert len(vectors) == 54  # all with reflexive Newton polytopes
+    # at d = 5 a non-transverse IP vector can have a non-reflexive one
+    vectors.append(WeightVector((1, 2, 2, 3, 3, 5)))
+    for w in vectors:
+        noted = any("Calabi-Yau" in note for note in mirror_test(w).notes)
+        assert noted == fano_classification(newton_hull(w, mirror_lattice(w))).reflexive
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        # pool vectors (d = 3, 4) come with their pinned orbifold Euler number
+        st.sampled_from(sorted(ip_pool().items())).map(lambda kv: (WeightVector.parse(kv[0]), kv[1])),
+        small_ip_vectors((2,), 3).map(lambda w: (w, None)),
+    )
+)
+def test_mirror_test_sign_relation_property(drawn):
+    w, chi_orb = drawn
+    report = mirror_test(w)
+    assert report.methods_agree
+    assert report.chi_str_mirror == (-1) ** (w.dim - 1) * report.chi_orb_formula
+    assert chi_orb is None or format_rational(report.chi_orb_formula) == chi_orb
 
 
 def test_mirror_test_non_well_formed():

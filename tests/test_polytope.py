@@ -26,9 +26,10 @@ from cywps.polytope import (
     lattice_points,
     normal_cone_section,
     normalized_volume,
+    simplex_volume,
 )
 from cywps.wps import WeightVector, dual_simplex, mirror_lattice, mirror_simplex
-from conftest import random_well_formed
+from conftest import ip_pool, random_well_formed, small_ip_vectors
 
 
 def _simplex(dim):
@@ -382,6 +383,8 @@ def test_volume_scaling_rule():
         [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]
     )
     assert normalized_volume(half) == Fraction(1, 4)
+    assert simplex_volume([(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]) == Fraction(1, 4)
+    assert simplex_volume([(Fraction(1, 3), 2, 5)]) == 1
 
 
 def test_fano_reflexive_triangle():
@@ -460,6 +463,22 @@ def test_normal_cone_section_facet_lengths():
         from math import gcd
 
         assert normalized_volume(section) == Fraction(gcd(w.degree, wd), wd)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.sampled_from(sorted(ip_pool())).map(WeightVector.parse), small_ip_vectors((2, 3, 4)))
+)
+@example(WeightVector((1, 1, 6, 14, 21)))
+def test_simplex_sections_match_hull_oracle(w):
+    # the general hull construction is the oracle for the simplex sections
+    poly = mirror_simplex(mirror_lattice(w))
+    zero = (0,) * poly.ambient_dim
+    for faces in poly.faces_by_dim.values():
+        for face in faces:
+            polar = [poly.facets[j].polar_vertex() for j in face.facet_ids]
+            oracle = normalized_volume(normal_cone_section(poly, face))
+            assert simplex_volume([zero, *polar]) == oracle
 
 
 def test_interior_lattice_points():

@@ -1,7 +1,5 @@
 import hashlib
-import json
 import math
-import os
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +16,7 @@ from cywps.quasismooth import (
     transverse_candidates,
 )
 from cywps.wps import WeightVector, newton_points, weight_flags
+from conftest import ip_pool
 
 
 def ip_by_full_hull(w: WeightVector) -> bool:
@@ -88,10 +87,7 @@ def test_ip_axis_supports_refute_without_knapsack(monkeypatch):
 
 
 def test_ip_pool_vectors_are_ip():
-    # the pinned IP pool of the benchmark, read only
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "ip_pool.json")
-    with open(path, encoding="ascii") as fh:
-        pool = json.load(fh)
+    pool = ip_pool()
     assert len(pool) == 3039
     assert all(has_ip_property(WeightVector.parse(v)) for v in pool)
 
