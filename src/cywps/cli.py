@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 internal inconsistency detected by ``verify``
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -130,7 +131,9 @@ def _cmd_census(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cywps",
         description="Exact Euler numbers and polytope tests for Calabi-Yau "

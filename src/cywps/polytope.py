@@ -2,13 +2,19 @@
 
 Integers are the only number type inside the hull, lattice-point and volume
 loops: each clears the denominators of its input once, on entry, and divides
-once on exit.  Hulls
-are built by incremental beneath-beyond insertion on the scaled integer
-points (simplicial pieces, merged into true facets at the end), so there is
-no epsilon anywhere.  A polytope carries its V-representation, its
-H-representation {x : <normal, x> >= -offset} with primitive integer normals,
-and a lazily built face lattice obtained by closing the vertex-facet
-incidence under intersection.
+once on exit.  Hulls are built by incremental beneath-beyond insertion on
+the scaled integer points (simplicial pieces, merged into true facets at the
+end), so there is no epsilon anywhere.  A polytope carries its
+V-representation, its H-representation {x : <normal, x> >= -offset} with
+primitive integer normals, and a lazily built face lattice graded from the
+vertex-facet incidences alone: the faces one dimension below a face are the
+inclusion-maximal nonempty proper meets of it with the facets.
+
+A lower-dimensional polytope is hulled as its projection onto the
+coordinates its affine hull projects onto one-to-one, so the hull sees the
+input's own numbers; its chart keeps, per ambient coordinate, the integer
+affine form that lifts a projected point back.  Eliminations happen only in
+``_affine_basis`` (a hull's dimension and start simplex) and once per chart.
 
 Lattice points come from one pruned bounding-box scan for every polytope,
 the dual simplex of a weight vector included; its lattice points are also the
@@ -27,7 +33,6 @@ of the simplices of its pulling triangulation over the face lattice.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -44,6 +49,7 @@ from .exact import (
 )
 
 Point = tuple  # coordinates are int or Fraction
+Chart = tuple[list[int], list[tuple[int, tuple[int, ...], int]]]  # see ``_chart``
 
 LATTICE_SCAN_LIMIT = 10_000_000
 
@@ -89,7 +95,8 @@ class FanoFlags(NamedTuple):
 
 
 class Polytope:
-    """Immutable exact polytope; lower-dimensional hulls carry an affine chart."""
+    """Immutable exact polytope; lower-dimensional hulls carry a chart, a
+    coordinate projection with its integer lifts (see ``_chart``)."""
 
     def __init__(
         self,
@@ -97,7 +104,7 @@ class Polytope:
         dim: int,
         vertices: Sequence[Point],
         facets: Sequence[Facet],
-        chart: tuple[Point, tuple[Point, ...]] | None = None,
+        chart: Chart | None = None,
     ):
         order = sorted(range(len(vertices)), key=lambda i: vertices[i])
         remap = {old: new for new, old in enumerate(order)}
@@ -142,22 +149,20 @@ class Polytope:
 
     def contains(self, point: Sequence, strict: bool = False) -> bool:
         p = _normalize_point(point)
-        if self.is_full_dimensional:
-            for f in self.facets:
-                v = _dot(f.normal, p) + f.offset
-                if v < 0 or (strict and v == 0):
-                    return False
-            return True
-        if self.dim == 0:
-            return not strict and p == self.vertices[0]
-        base, basis = self._chart
-        coords = _chart_coordinates(basis, [tuple(a - b for a, b in zip(p, base))])
-        if coords is None:
-            return False
-        if strict:
-            return False
-        (c,) = coords
-        return all(_dot(f.normal, c) + f.offset >= 0 for f in self.facets)
+        if len(p) != self.ambient_dim:
+            raise ValueError(f"point of dimension {len(p)} in a polytope in R^{self.ambient_dim}")
+        if self._chart is not None:
+            coords, lifts = self._chart
+            y = tuple(p[c] for c in coords)
+            # a lower-dimensional polytope has no interior
+            if strict or any(m * x != _dot(g, y) + g0 for x, (m, g, g0) in zip(p, lifts)):
+                return False
+            p = y
+        for f in self.facets:
+            v = _dot(f.normal, p) + f.offset
+            if v < 0 or (strict and v == 0):
+                return False
+        return True
 
     # -- face lattice -----------------------------------------------------------
 
@@ -172,26 +177,28 @@ class Polytope:
         return self.faces_by_dim.get(k, ())
 
     def _build_face_lattice(self) -> dict[int, tuple[Face, ...]]:
-        nv = len(self.vertices)
-        facet_vsets = [frozenset(f.vertex_ids) for f in self.facets]
-        seen: set[frozenset] = set(facet_vsets)
-        queue = deque(seen)
-        while queue:
-            cur = queue.popleft()
-            for fv in facet_vsets:
-                meet = cur & fv
-                if meet and meet not in seen:
-                    seen.add(meet)
-                    queue.append(meet)
-        seen.add(frozenset(range(nv)))
-        out: dict[int, list[Face]] = {}
-        for vset in seen:
-            dim = len(_affine_basis([self.vertices[i] for i in vset]))
-            facet_ids = tuple(j for j, fv in enumerate(facet_vsets) if vset <= fv)
-            out.setdefault(dim, []).append(Face(dim, tuple(sorted(vset)), facet_ids))
-        return {
-            k: tuple(sorted(faces, key=lambda f: f.vertex_ids)) for k, faces in sorted(out.items())
-        }
+        # graded from the vertex-facet incidences alone (Kaibel-Pfetsch): the
+        # faces of dimension k - 1 are the inclusion-maximal nonempty proper
+        # meets of a k-face with the facets; vertex sets are bitmasks
+        facet_masks = [sum(1 << i for i in f.vertex_ids) for f in self.facets]
+        out: dict[int, tuple[Face, ...]] = {}
+        level = {(1 << len(self.vertices)) - 1}
+        for k in range(self.dim, -1, -1):
+            faces = [
+                Face(
+                    k,
+                    tuple(i for i in range(len(self.vertices)) if mask >> i & 1),
+                    tuple(j for j, fm in enumerate(facet_masks) if mask & fm == mask),
+                )
+                for mask in level
+            ]
+            out[k] = tuple(sorted(faces, key=lambda f: f.vertex_ids))
+            below: set[int] = set()
+            for mask in level:
+                meets = {mask & fm for fm in facet_masks} - {0, mask}
+                below.update(a for a in meets if not any(a != b and a & b == a for b in meets))
+            level = below
+        return dict(sorted(out.items()))
 
     @property
     def top_face(self) -> Face:
@@ -245,18 +252,20 @@ def _affine_basis(points: Sequence[Point]) -> list[int]:
     return [c + 1 for c in pivots]
 
 
-def _chart_coordinates(basis: Sequence[Point], diffs: Sequence[Point]):
-    """Coordinates of each diff in the given independent basis rows, or None
-    if some diff lies outside their span."""
-    k = len(basis)
-    cols = [*basis, *diffs]
-    reduced, pivots = echelon([[c[j] for c in cols] for j in range(len(basis[0]))])
-    if pivots != list(range(k)):
-        return None
-    return [
-        tuple(as_exact(Fraction(row[k + t], row[i])) for i, row in enumerate(reduced))
-        for t in range(len(diffs))
-    ]
+def _chart(base: Point, spanning: Sequence[Point]) -> Chart:
+    """Chart of the affine hull of ``base`` and the affinely independent
+    ``spanning`` points: the pivot coordinates ``coords`` onto which it
+    projects one-to-one, and for each ambient coordinate j the integers
+    (m, g, g0) with m * x_j = <g, y> + g0 for y the projection of x."""
+    rows, coords = echelon([[x - b for x, b in zip(p, base)] for p in spanning])
+    # the hull is {base + sum_i t_i rows[i]}, and row i vanishes on every
+    # pivot coordinate but coords[i], so t_i = (y_i - base[coords[i]]) / rows[i][coords[i]]
+    lifts = []
+    for j in range(len(base)):
+        g = [Fraction(row[j], row[c]) for row, c in zip(rows, coords)]
+        m, ints = clear_denominators([*g, base[j] - _dot(g, [base[c] for c in coords])])
+        lifts.append((m, tuple(ints[:-1]), ints[-1]))
+    return coords, lifts
 
 
 def _maximal_minors(rows: Sequence[Sequence[int]], n: int) -> list[int]:
@@ -377,8 +386,10 @@ def _hull_full_dim(pts: list[Point]) -> list[tuple[tuple[int, ...], Fraction, li
 def hull_with_faces(points: Iterable[Sequence]) -> Polytope:
     """Exact convex hull with minimal V-representation and H-representation.
 
-    Lower-dimensional input is returned as a polytope marked with an explicit
-    affine chart; its facet data lives in chart coordinates.
+    Lower-dimensional input carries a chart: it is hulled as its projection
+    onto the coordinates its affine hull projects onto one-to-one, so the
+    hull sees the input's own numbers, and its facets are stated in those
+    coordinates.
     """
     seen: set[Point] = set()
     pts: list[Point] = []
@@ -395,18 +406,14 @@ def hull_with_faces(points: Iterable[Sequence]) -> Polytope:
 
     chosen = _affine_basis(pts)
     dim = len(chosen)
-    if dim == 0:
-        return Polytope(ambient, 0, [pts[0]], [])
-
     chart = None
-    coords = pts
+    projected = pts
     if dim < ambient:
-        base = pts[0]
-        basis = tuple(tuple(x - b for x, b in zip(pts[i], base)) for i in chosen)
-        coords = _chart_coordinates(basis, [tuple(x - b for x, b in zip(p, base)) for p in pts])
-        assert coords is not None
-        chart = (base, basis)
-    raw = _hull_full_dim(coords)
+        chart = _chart(pts[0], [pts[i] for i in chosen])
+        projected = [tuple(p[c] for c in chart[0]) for p in pts]
+    if dim == 0:
+        return Polytope(ambient, 0, [pts[0]], [], chart)
+    raw = _hull_full_dim(projected)
     vertex_ids = sorted(set().union(*(f[2] for f in raw)))
     remap = {old: new for new, old in enumerate(vertex_ids)}
     facets = [Facet(nrm, off, tuple(remap[i] for i in ids)) for nrm, off, ids in raw]
@@ -488,42 +495,16 @@ def lattice_points(p: Polytope) -> list[Point]:
 
     One algorithm serves every polytope: a bounding-box scan pruned
     coordinate by coordinate against integer facet inequalities.  A
-    lower-dimensional polytope is scanned on the coordinates its affine hull
-    projects onto one-to-one, and the other coordinates are solved for.  A box
-    of more than LATTICE_SCAN_LIMIT candidates raises EnumerationLimitError.
+    lower-dimensional polytope is scanned on the coordinates of its chart,
+    which its facets are stated in; each scanned point is lifted to the
+    affine hull and kept when integral.  A box of more than
+    LATTICE_SCAN_LIMIT candidates raises EnumerationLimitError.
     """
-    if p.dim == 0:
-        v = p.vertices[0]
-        return [v] if all(isinstance(x, int) for x in v) else []
-    lifts = None
-    if p.is_full_dimensional:
-        coords = list(range(p.ambient_dim))
-        # each inequality times its offset's denominator, so every sum is an int
-        ineqs = [
-            (tuple(f.offset.denominator * c for c in f.normal), f.offset.numerator)
-            for f in p.facets
-        ]
-    else:
-        # the affine hull is {base + sum_i t_i rows[i]}, and row i vanishes on
-        # every pivot coordinate but coords[i], so the scanned pivot values y
-        # fix t_i = (y_i - base[coords[i]]) / rows[i][coords[i]]; the chart
-        # facets and every coordinate are then affine in y, each kept as
-        # integers (m, g, g0) with m * value = <g, y> + g0
-        base, basis = p._chart
-        rows, coords = echelon(basis)
-        scale = [Fraction(1, row[c]) for row, c in zip(rows, coords)]
-        row_charts = _chart_coordinates(basis, rows)
-
-        def form(coeffs: list[Fraction], const: Fraction) -> tuple[int, tuple[int, ...], int]:
-            g = [a * t for a, t in zip(coeffs, scale)]
-            m, ints = clear_denominators([*g, const - _dot(g, (base[c] for c in coords))])
-            return m, tuple(ints[:-1]), ints[-1]
-
-        ineqs = [
-            form([_dot(f.normal, rc) for rc in row_charts], f.offset)[1:] for f in p.facets
-        ]
-        lifts = [form([row[j] for row in rows], base[j]) for j in range(p.ambient_dim)]
-
+    coords, lifts = p._chart or (range(p.ambient_dim), None)
+    # each inequality times its offset's denominator, so every sum is an int
+    ineqs = [
+        (tuple(f.offset.denominator * c for c in f.normal), f.offset.numerator) for f in p.facets
+    ]
     lo = [math.ceil(min(v[j] for v in p.vertices)) for j in coords]
     hi = [math.floor(max(v[j] for v in p.vertices)) for j in coords]
     if any(l > h for l, h in zip(lo, hi)):
@@ -536,17 +517,8 @@ def lattice_points(p: Polytope) -> list[Point]:
 
     out = _box_scan(lo, hi, ineqs)
     if lifts is not None:
-        points = []
-        for y in out:
-            x = []
-            for m, g, g0 in lifts:
-                value, rest = divmod(_dot(g, y) + g0, m)
-                if rest:
-                    break
-                x.append(value)
-            else:
-                points.append(tuple(x))
-        out = points
+        lifted = ([divmod(_dot(g, y) + g0, m) for m, g, g0 in lifts] for y in out)
+        out = [tuple(q for q, _ in x) for x in lifted if not any(r for _, r in x)]
     out.sort()
     return out
 

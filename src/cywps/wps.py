@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import EnumerationLimitError, NotWellFormedError
 from .exact import IntMatrix, gcd_fold, smith_normal_form, unimodular_inverse
@@ -136,7 +135,6 @@ class MirrorLattice:
         return tuple(sum(r * x for r, x in zip(row, u)) for row in self._dual_rows)
 
 
-@lru_cache(maxsize=64)
 def mirror_lattice(w: WeightVector) -> MirrorLattice:
     """Present Z^{d+1}/Z*w via the Smith normal form of the weight row.
 

@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from cywps import cli
 from cywps.cli import main
 
 
@@ -140,6 +142,28 @@ def test_exit_code_usage_error(capsys):
     code = main(["euler"])  # missing weights argument
     capsys.readouterr()
     assert code == 2
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+
+    class Spy(cli.argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "cywps":
+                built.append(self)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Spy))
+    cli.build_parser.cache_clear()
+    try:
+        assert main(["euler"]) == 2
+        assert main(["euler", "1,1,1"]) == 0
+        assert main(["check", "1,1,1"]) == 0
+    finally:
+        # leave no parser of the spy class behind for later tests
+        cli.build_parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
 
 
 def test_exit_code_unknown_choice(capsys):

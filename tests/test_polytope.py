@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cywps import polytope
 from cywps.errors import DomainError, EnumerationLimitError
 from cywps.exact import (
     IntMatrix,
@@ -182,6 +183,32 @@ def test_lower_dimensional_chart():
     assert lattice_points(quad) == [(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 1, 0), (2, 0, 0, 0)]
 
 
+def test_lower_dimensional_hull_sees_integers_only(monkeypatch):
+    # the quadrilateral above, doubled to integer vertices: its projection
+    # onto the chart coordinates hands the hull the input's own integers
+    seen = []
+    hull = polytope._hull_full_dim
+
+    def spy(pts):
+        seen.extend(pts)
+        return hull(pts)
+
+    monkeypatch.setattr(polytope, "_hull_full_dim", spy)
+    quad = hull_with_faces([(0, 0, 0, 0), (4, 0, 0, 0), (0, 3, 3, 0), (2, 2, 2, 0)])
+    assert quad.dim == 2
+    assert seen and all(type(x) is int for p in seen for x in p)
+
+
+def test_contains_rejects_a_point_of_the_wrong_dimension():
+    square = hull_with_faces([(0, 0), (1, 0), (0, 1), (1, 1)])
+    segment = hull_with_faces([(0, 0, 0), (1, 1, 1)])
+    point = hull_with_faces([(1, 2)])
+    for poly, bad in ((square, (0, 0, 5)), (square, (1,)), (segment, (1, 1)), (point, (1, 2, 0))):
+        for strict in (False, True):
+            with pytest.raises(ValueError, match="dimension"):
+                poly.contains(bad, strict=strict)
+
+
 def test_lattice_points_unit_square():
     square = hull_with_faces([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert lattice_points(square) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -250,10 +277,10 @@ def test_hull_scaling_random(pts, q):
     big = hull_with_faces([tuple(q * x for x in p) for p in pts])
     assert big.dim == poly.dim
     assert big.vertices == tuple(tuple(q * x for x in v) for v in poly.vertices)
-    # chart coordinates do not change, as the chart basis scales with the points
-    s = q if poly.is_full_dimensional else 1
+    # facets of a lower-dimensional hull live in projected coordinates, which
+    # scale with the points as well
     assert [(f.normal, f.offset, f.vertex_ids) for f in big.facets] == [
-        (f.normal, s * f.offset, f.vertex_ids) for f in poly.facets
+        (f.normal, q * f.offset, f.vertex_ids) for f in poly.facets
     ]
     assert big.faces_by_dim == poly.faces_by_dim
     for k, faces in poly.faces_by_dim.items():
@@ -269,6 +296,81 @@ def test_hull_scaling_random(pts, q):
 def test_lattice_points_match_box_scan_random(pts):
     poly = hull_with_faces(pts)
     assert lattice_points(poly) == sorted(p for p in _box_points(poly) if poly.contains(p))
+
+
+def _face_closure(poly):
+    """Every nonempty intersection of facet vertex sets, plus the whole
+    vertex set: the faces as the closure of the facets under intersection."""
+    facet_sets = [frozenset(f.vertex_ids) for f in poly.facets]
+    seen = set(facet_sets)
+    todo = list(seen)
+    while todo:
+        cur = todo.pop()
+        for fv in facet_sets:
+            meet = cur & fv
+            if meet and meet not in seen:
+                seen.add(meet)
+                todo.append(meet)
+    return seen | {frozenset(range(len(poly.vertices)))}
+
+
+def _chart_point(poly, p):
+    """p in the coordinates the facets of ``poly`` are stated in."""
+    return p if poly._chart is None else tuple(p[c] for c in poly._chart[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_point_sets(max_n=5))
+@example([(0, 0), (3, 3)])
+@example([(Fraction(1, 2), 1, 2)])
+def test_face_lattice_graded_from_incidences(pts):
+    poly = hull_with_faces(pts)
+    lattice = poly.faces_by_dim
+    assert sorted(lattice) == list(range(poly.dim + 1))
+    assert {frozenset(f.vertex_ids) for fs in lattice.values() for f in fs} == _face_closure(poly)
+    for k, faces in lattice.items():
+        assert list(faces) == sorted(faces, key=lambda f: f.vertex_ids)
+        for face in faces:
+            verts = [poly.vertices[i] for i in face.vertex_ids]
+            # the dimension oracle is the affine rank of the face's vertices
+            assert face.dim == k == rat_rank([[x - b for x, b in zip(v, verts[0])] for v in verts])
+            assert face.facet_ids == tuple(
+                j for j, f in enumerate(poly.facets) if set(face.vertex_ids) <= set(f.vertex_ids)
+            )
+            on_all = tuple(
+                i
+                for i, v in enumerate(poly.vertices)
+                if all(
+                    _dot(poly.facets[j].normal, _chart_point(poly, v)) + poly.facets[j].offset == 0
+                    for j in face.facet_ids
+                )
+            )
+            assert on_all == face.vertex_ids
+    # Euler-Poincare, the polytope itself counted as its face of top dimension
+    assert sum((-1) ** k * len(faces) for k, faces in lattice.items()) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rational_point_sets(max_n=5).filter(lambda pts: hull_with_faces(pts).dim < len(pts[0])),
+    st.lists(st.tuples(_coord, _coord), min_size=1, max_size=4),
+    st.integers(0, 4),
+    _coord,
+)
+def test_lower_dimensional_contains_matches_hull(pts, combos, axis, shift):
+    poly = hull_with_faces(pts)
+    verts = poly.vertices
+    n = poly.ambient_dim
+    queries = list(verts)
+    u, v, w = verts[0], verts[len(verts) // 2], verts[-1]
+    for a, b in combos:
+        # affine combinations of vertices lie on the flat, inside or not
+        on = tuple(x + a * (y - x) + b * (z - x) for x, y, z in zip(u, v, w))
+        off = tuple(x + shift if j == axis % n else x for j, x in enumerate(on))
+        queries += [on, off]
+    for q in queries:
+        assert poly.contains(q) == (hull_with_faces([*verts, q]) == poly)
+        assert not poly.contains(q, strict=True)
 
 
 def volume_by_snf(poly, face):
