@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import EnumerationLimitError, NotWellFormedError
 from .exact import IntMatrix, gcd_fold, smith_normal_form, unimodular_inverse
@@ -207,8 +208,17 @@ def newton_hull(w: WeightVector, lattice: MirrorLattice) -> Polytope:
 
     This equals bracket(dual_simplex(w)); for IP vectors it is the canonical
     Fano polytope whose spanning fan compactifies the mirror hypersurface.
+
+    Only exchange-free monomials are hulled: if u_i*w_i and u_j*w_j are both at
+    least l = lcm(w_i, w_j) for some i != j, u is the midpoint of the degree-w
+    monomials u +- (l/w_i*e_i - l/w_j*e_j), and so is its image under the linear
+    m_coords.  No vertex is dropped, so the vertices and facets are unchanged.
     """
+    ws = w.weights
+    pairs = [(i, j, lcm(ws[i], ws[j])) for j in range(len(ws)) for i in range(j)]
     pts = [
-        lattice.m_coords([x - 1 for x in u]) for u in newton_points(w)
+        lattice.m_coords([x - 1 for x in u])
+        for u in newton_points(w)
+        if not any(u[i] * ws[i] >= l and u[j] * ws[j] >= l for i, j, l in pairs)
     ]
     return hull_with_faces(pts)

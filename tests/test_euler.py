@@ -17,7 +17,7 @@ from cywps.euler import (
     vafa_subset_sum,
 )
 from cywps.exact import format_rational
-from cywps.polytope import fano_classification, hull_with_faces
+from cywps.polytope import dual_polytope, fano_classification, hull_with_faces
 from cywps.quasismooth import census, has_ip_property
 from cywps.wps import WeightVector, mirror_lattice, mirror_simplex, newton_hull
 from conftest import ip_pool, random_well_formed, small_ip_vectors
@@ -261,3 +261,14 @@ def test_report_json_round_trip():
         "methods_agree",
         "notes",
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ip_pool().items())))
+def test_pool_newton_hulls_reflexive_property(item):
+    # Skarke: the Newton polytope of an IP weight system is reflexive
+    w = WeightVector.parse(item[0])
+    hull = newton_hull(w, mirror_lattice(w))
+    assert all(f.offset == 1 for f in hull.facets)
+    assert dual_polytope(dual_polytope(hull)) == hull
+    assert format_rational(stringy_reflexive(hull)) == item[1]

@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from cywps.errors import NotWellFormedError
 from cywps.exact import rat_det
-from cywps.polytope import lattice_points
+from cywps.polytope import hull_with_faces, lattice_points
 from cywps.wps import (
     WeightVector,
     dual_simplex,
     mirror_lattice,
     newton_count,
+    newton_hull,
     newton_points,
     subset_gcd,
     weight_flags,
@@ -150,3 +151,29 @@ def test_dual_simplex_lattice_points_match_newton_points(ws):
     lat = mirror_lattice(w)
     images = sorted(lat.m_coords([x - 1 for x in u]) for u in newton_points(w))
     assert lattice_points(dual_simplex(w, lat)) == images
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda d: st.lists(st.integers(1, 9), min_size=d + 1, max_size=d + 1)))
+@example([1, 1, 6, 14, 21])
+@example([1, 1, 2, 4, 5])
+def test_newton_hull_matches_hull_of_all_monomials(ws):
+    # the oracle hulls every shifted monomial, including the exchangeable ones
+    w = WeightVector(tuple(ws))
+    assume(weight_flags(w)[0])
+    lat = mirror_lattice(w)
+    full = hull_with_faces(lat.m_coords([x - 1 for x in u]) for u in newton_points(w))
+    hull = newton_hull(w, lat)
+    assert hull.vertices == full.vertices
+    assert [(f.normal, f.offset) for f in hull.facets] == [(f.normal, f.offset) for f in full.facets]
+
+
+def test_newton_hull_d6():
+    # bracket(dual_simplex(w)) refuses this one: its box has 13.5 M candidates
+    w = WeightVector((1, 1, 1, 1, 2, 6, 24))
+    lat = mirror_lattice(w)
+    hull = newton_hull(w, lat)
+    assert (len(hull.vertices), len(hull.facets)) == (12, 8)
+    pts = newton_points(w)
+    assert len(pts) == 90_046
+    assert all(hull.contains(lat.m_coords([x - 1 for x in u])) for u in pts)
