@@ -8,23 +8,32 @@ degree w.  Reachability of degrees is computed with bitset knapsack dynamic
 programming, memoized per subset.
 
 The transverse census generates its candidates from the |J| = 1 case of the
-criterion: every weight w_i needs a pointer, i.e. w_i divides w or w - w_j for
-some other j (Kreuzer-Skarke, "On the classification of quasihomogeneous
-functions").  Per degree, the generator picks the free weights in descending
-order.  A weight v with no pointer to w or to a weight already placed can only
-point at a later weight u <= v with u = w mod v, so that u joins the tuple as
-a forced weight.  The last one or two free weights are solved directly: one
-is the remaining sum s, and of a pair x >= y = s - x the larger divides w,
-w - c for a placed weight c, or w - y = w - s + x, hence w - s.
+criterion: every weight w_i needs a pointer, i.e. w_i divides the degree n or
+n - w_j for some other j (Kreuzer-Skarke, "On the classification of
+quasihomogeneous functions").  For d >= 2 no such weight exceeds n/2, since
+w_i > n/2 gives w_i < n < 2 w_i and w_i < n - w_j < 2 w_i for all j != i.
+Free weights are picked in descending order; one, v, with no pointer to n or
+to a weight already placed can only point at a later weight u <= v with
+u = n mod v, so u joins the tuple as a forced weight, its pointer checked
+once the tuple is complete.  The last free weights are solved from their
+pointers.  Of a pair x >= y = s - x, each divides n - c for c = 0 or a placed
+c, or n - s (x | n - y = n - s + x iff x | n - s).  Of three, a placed v
+divides some n - c and leaves a pair; a forced v in the block q = n // v >= 2
+forces r = n - q v and leaves last = s - v - r = a + (q - 1) v, a = s - n.
+Pointing at v, last divides (q - 1)(n - v) + last = (q - 2) n + s; at r, it
+divides q v, so q (last - a) and q (n - s); else some n - c.  Each such
+divisor = a (mod q - 1) in range gives v = (last - a) / (q - 1).  For a = 0
+the r case admits every last, so that block is scanned, as are narrow ones.
 
 Completeness: let T be a tuple with pointers.  Walk T from its largest weight
 down, skipping weights already placed as forced.  At each weight v, if v
-points at w or at a placed weight, place v; otherwise v points at some u in T
-still unplaced, u <= v and u = w mod v (v cannot divide w), and the generator
+points at n or at a placed weight, place v; otherwise v points at some u in T
+still unplaced, u <= v and u = n mod v (v cannot divide n), and the generator
 places v and forces u, the same step.  Every step stays within the bounds the
-generator scans (the unplaced weights of T sum to s and are at most v), so T
-is emitted.  Emitted tuples are checked against the full |J| = 1 condition
-and gcd 1 and kept once each; ``is_transverse`` remains the final filter.
+generator scans (the unplaced weights of T sum to s and are at most v and
+n/2), and the last free weights of T lie in the divisor sets above, so T is
+emitted.  Emitted tuples are checked against the full |J| = 1 condition and
+gcd 1 and kept once each; ``is_transverse`` remains the final filter.
 
 The IP and unfiltered censuses scan all partitions, the IP one with weights
 capped at half the degree.  Every census runs ``has_ip_property`` only on
@@ -35,11 +44,12 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import Pool
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact import format_rational, primitive_vector, rat_nullspace, rat_rank
 from .polytope import hull_with_faces
@@ -262,54 +272,84 @@ def iter_weight_partitions(
     yield from plain([], degree, top if max_weight is None else min(top, max_weight))
 
 
-def _divisors(n: int) -> list[int]:
+# sorted divisors of n >= 0; the keys are at most the degree, so the cache holds
+# at most one tuple per integer up to the largest degree asked for
+@lru_cache(maxsize=None)
+def _divisors(n: int) -> tuple[int, ...]:
     small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
-    return small + [n // k for k in small]
+    return (*small, *(n // k for k in reversed(small) if k * k != n))
 
 
 def transverse_candidates(dim: int, degree: int) -> list[tuple[int, ...]]:
-    """Primitive sorted tuples of dim + 1 weights with the given degree in
+    """Primitive sorted tuples of dim + 1 >= 2 weights with the given degree in
     which every weight has a pointer (it divides degree or degree - w_j for
     some other j), in the order of ``iter_weight_partitions``."""
+    n = degree
     found: set[tuple[int, ...]] = set()
-    divisors: dict[int, list[int]] = {}
+
+    def between(m: int, lo: int, hi: int) -> tuple[int, ...]:
+        divs = _divisors(m) if m <= n else _divisors.__wrapped__(m)
+        return divs[bisect_left(divs, lo) : bisect_right(divs, hi)]
+
+    def points(u: int, *diff_sets: Iterable[int]) -> bool:
+        return any(d % u == 0 for ds in diff_sets for d in ds)
 
     def emit(ws: list[int]) -> None:
         t = tuple(sorted(ws))
-        if math.gcd(*t) == 1 and all(any((degree - u) % v == 0 for u in (0, *t)) for v in t):
+        if math.gcd(*t) == 1 and all(any((n - u) % v == 0 for u in (0, *t)) for v in t):
             found.add(t)
 
-    def grow(fixed: list[int], free: int, s: int, vmax: int) -> None:
+    def grow(fixed: list[int], forced: list[int], free: int, s: int, vmax: int) -> None:
         # fixed: weights chosen or forced so far; the free ones sum to s, each <= vmax
-        if free <= 1:
-            if free == 0 and s == 0 or free == 1 and 1 <= s <= vmax:
-                emit(fixed + [s] * free)
-            return
+        diffs = {n - c for c in (0, *fixed)}
+        pending = [u for u in forced if all(d % u for d in diffs)]
         if free == 2:
-            # x >= y = s - x, and x divides degree, degree - c or degree - y;
-            # the last holds exactly when x divides degree - s
-            lo, hi = (s + 1) // 2, min(vmax, s - 1)
-            xs = set()
-            for n in (degree, degree - s, *(degree - c for c in fixed)):
-                if n not in divisors:
-                    divisors[n] = _divisors(n)
-                xs.update(x for x in divisors[n] if lo <= x <= hi)
+            # x >= y = s - x, each dividing n - c or n - s (then it points at the other)
+            hi = min(vmax, s - 1)
+            # a pending u divides n - x or n - y; [s - hi, hi] is symmetric in x and y
+            if any((n + hi - s) % u > 2 * hi - s for u in pending):
+                return
+            xs = {x for m in {n - s, *diffs} for x in between(m, s - hi, hi)}
             for x in xs:
-                emit(fixed + [x, s - x])
+                y = s - x
+                if y <= x and y in xs and all(points(u, (n - x, n - y)) for u in pending):
+                    emit(fixed + [x, y])
             return
-        for v in range(min(vmax, s - free + 1), -(-s // free) - 1, -1):
-            r = degree % v
-            if r == 0 or any((degree - c) % v == 0 for c in fixed):
-                fixed.append(v)
-                grow(fixed, free - 1, s - v, v)
-                fixed.pop()
-            elif free - 2 <= s - v - r <= (free - 2) * v:
-                # v's pointer must be a later weight u <= v, so u = degree mod v
-                fixed += (v, r)
-                grow(fixed, free - 2, s - v - r, v)
-                del fixed[-2:]
+        vhi, vlo = min(vmax, s - free + 1), -(-s // free)
+        if free == 3:
+            for v in {v for m in diffs for v in between(m, vlo, vhi)}:
+                grow(fixed + [v], forced, 2, s - v, v)
+            # v forces r = n - q v in its block q = n // v, leaving last = a + (q - 1) v
+            a, v = s - n, vhi
+            while v >= vlo:
+                q = n // v
+                blo = max(vlo, n // (q + 1) + 1)
+                top = min(v, (n - 1) // q, -a // (q - 2) if q > 2 else v)  # r >= 1, last <= v
+                bot = max(blo, (q - 1 - a) // (q - 1))  # last >= 1
+                v = blo - 1
+                # scan a few values, and a = 0, where last | q (n - s) = 0 always holds
+                if a == 0 or top - bot < 8:
+                    ws = range(bot, top + 1)
+                else:
+                    lo, hi = a + (q - 1) * bot, a + (q - 1) * top
+                    keys = (*diffs, (q - 2) * n + s, q * (n - s))
+                    lasts = [x for m in keys for x in between(m, lo, hi)]
+                    ws = {(x - a) // (q - 1) for x in lasts if (x - a) % (q - 1) == 0}
+                for w in ws:
+                    r, last = n - q * w, a + (q - 1) * w
+                    near = (n - w, n - r, n - last)
+                    if points(r, near, diffs) and points(last, near, diffs):
+                        if all(points(u, near) for u in pending):
+                            emit(fixed + [w, r, last])
+            return
+        for v in range(vhi, vlo - 1, -1):
+            if any(d % v == 0 for d in diffs):
+                grow(fixed + [v], forced, free - 1, s - v, v)
+            elif free - 2 <= s - v - (r := n % v) <= (free - 2) * v:
+                # v's pointer must be a later weight u <= v, so u = n mod v
+                grow(fixed + [v, r], forced + [r], free - 2, s - v - r, v)
 
-    grow([], dim + 1, degree, degree)
+    grow([], [], dim + 1, n, n // 2 if dim >= 2 else n)
     return sorted(found, key=lambda t: t[::-1], reverse=True)
 
 

@@ -9,6 +9,7 @@ from cywps.quasismooth import has_ip_property, iter_weight_partitions
 from cywps.wps import WeightVector, weight_flags
 
 IP_POOL_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "ip_pool.json")
+NONTRANSVERSE_IP_PATH = os.path.join(os.path.dirname(__file__), "data", "nontransverse_ip.json")
 
 
 def ip_pool() -> dict[str, str]:
@@ -16,6 +17,13 @@ def ip_pool() -> dict[str, str]:
     d = 4 transverse weight vector of degree <= 120 but the showcase ones,
     mapped to its orbifold Euler number."""
     with open(IP_POOL_PATH, encoding="ascii") as fh:
+        return json.load(fh)
+
+
+def nontransverse_ip() -> dict[str, str]:
+    """Every well-formed IP weight vector that is not transverse, with d = 4 and
+    weights <= 9 or d = 5 and weights <= 6, mapped to its orbifold Euler number."""
+    with open(NONTRANSVERSE_IP_PATH, encoding="ascii") as fh:
         return json.load(fh)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,9 +19,9 @@ from cywps.euler import (
 )
 from cywps.exact import format_rational
 from cywps.polytope import dual_polytope, fano_classification, hull_with_faces
-from cywps.quasismooth import census, has_ip_property
-from cywps.wps import WeightVector, mirror_lattice, mirror_simplex, newton_hull
-from conftest import ip_pool, random_well_formed, small_ip_vectors
+from cywps.quasismooth import census, has_ip_property, is_transverse
+from cywps.wps import WeightVector, mirror_lattice, mirror_simplex, newton_hull, weight_flags
+from conftest import ip_pool, nontransverse_ip, random_well_formed, small_ip_vectors
 
 
 def vafa_literal(w: WeightVector) -> Fraction:
@@ -263,12 +264,37 @@ def test_report_json_round_trip():
     ]
 
 
+def test_nontransverse_ip_vectors_pinned():
+    pinned = nontransverse_ip()
+    found = {}
+    for dim, top in ((4, 9), (5, 6)):
+        for ws in combinations_with_replacement(range(1, top + 1), dim + 1):
+            w = WeightVector(ws)
+            if weight_flags(w)[0] and not is_transverse(w) and has_ip_property(w):
+                # the two independent orbifold routes: the double sum and the subset form
+                chi = vafa_double_sum(w)
+                assert vafa_subset_sum(w).value == chi, ws
+                found[",".join(map(str, ws))] = format_rational(chi)
+    assert found == pinned
+    assert sum(k.count(",") == 4 for k in pinned) == 271 and len(pinned) == 430
+
+
+_D4_NONTRANSVERSE = sorted(kv for kv in nontransverse_ip().items() if kv[0].count(",") == 4)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(ip_pool().items())))
+@given(st.one_of(st.sampled_from(sorted(ip_pool().items())), st.sampled_from(_D4_NONTRANSVERSE)))
 def test_pool_newton_hulls_reflexive_property(item):
-    # Skarke: the Newton polytope of an IP weight system is reflexive
+    # Skarke: the Newton polytope of an IP weight system with d <= 4 is reflexive
     w = WeightVector.parse(item[0])
     hull = newton_hull(w, mirror_lattice(w))
     assert all(f.offset == 1 for f in hull.facets)
     assert dual_polytope(dual_polytope(hull)) == hull
-    assert format_rational(stringy_reflexive(hull)) == item[1]
+    chi = stringy_reflexive(hull)
+    if is_transverse(w):
+        assert format_rational(chi) == item[1]
+    else:
+        # off the transverse set chi need not be the orbifold number (1,1,6,14,21:
+        # -504 against -506), but it is an integer and Batyrev's mirror pair holds
+        assert chi.denominator == 1
+        assert stringy_reflexive(dual_polytope(hull)) == (-1) ** (w.dim - 1) * chi
