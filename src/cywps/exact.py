@@ -9,10 +9,15 @@ Every row reduction in the package goes through one integer kernel,
 ``echelon``: it clears each row's denominators once, at entry, and then
 runs fraction-free Gauss-Jordan elimination, dividing each updated row by its
 content so the entries stay small.  Rank, nullspace, solve and unimodular
-inverse are thin readings of its output; every determinant, maximal minors
-included, goes through the one Bareiss elimination ``int_det``.  ``Fraction``
-appears only in results.
-The Smith normal form is separate, because it needs unimodular transforms.
+inverse are thin readings of its output; every determinant, a facet normal's
+cofactors included, goes through the one Bareiss elimination ``int_det``.
+``Fraction`` appears only in results.
+
+Lattice questions go through one unimodular column reduction, ``hermite``:
+2 x 2 column steps of determinant 1, with the transform and its inverse kept
+on request.  A simplex's normalized volume (the gcd of the maximal minors of
+its edges), the basis of the mirror lattice and the Smith normal form (passes
+on S and S^T, alternated) are readings of it.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls.from_rows(_identity(n))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -106,104 +111,98 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _transpose(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [list(c) for c in zip(*rows)]
+
+
+def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = +-gcd(a, b), and (a, 1, 0) when a | b."""
+    if a and b % a == 0:
+        return a, 1, 0
+    g = math.gcd(a, b)
+    x = pow(a // g, -1, abs(b // g))
+    return g, x, (g - x * a) // b
+
+
+def hermite(
+    rows: Sequence[Sequence[int]], transform: bool = False, inverse: bool = False
+) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]] | None]:
+    """Unimodular column reduction of a k x n integer matrix A.
+
+    Returns ``(h, t, tinv)``: h = A t in column echelon form, t unimodular and
+    tinv = t^-1, both None unless asked for.  Row by row, each entry b right of
+    the pivot a in column c is cleared by the column step of determinant 1
+    (col_c, col_j) -> (x col_c + y col_j, (a/g) col_j - (b/g) col_c), with
+    x a + y b = g, a plain subtraction of (b/a) col_c when a | b; its inverse
+    is explicit, so tinv costs no elimination.  A row whose pivot stays 0
+    takes no column.  The steps keep the gcd of the k x k minors
+    (Cauchy-Binet), so for k <= n it is |prod h_ii|: Cohen, GTM 138, 2.4.
+    """
+    n = len(rows[0]) if rows else 0
+    h = [list(r) for r in rows]
+    t = _identity(n) if transform else []
+    tinv_t = _identity(n) if inverse else []  # transposed, so its row steps are column steps
+    c = 0
+    for r in range(len(h)):
+        for j in range(c + 1, n):
+            a, b = h[r][c], h[r][j]
+            if b:
+                g, x, y = _xgcd(a, b)
+                p, s = a // g, b // g
+                for row in h[r:] + t:  # rows above r vanish from column c on
+                    row[c], row[j] = x * row[c] + y * row[j], p * row[j] - s * row[c]
+                for row in tinv_t:
+                    row[c], row[j] = p * row[c] + s * row[j], x * row[j] - y * row[c]
+        if c < n and h[r][c]:
+            c += 1
+    return h, t if transform else None, _transpose(tinv_t) if inverse else None
+
+
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Decompose ``a = U S V`` with U, V unimodular and S diagonal, d1 | d2 | ...
 
-    Deterministic for a fixed input: the pivot is always the smallest nonzero
-    entry by absolute value (ties broken by position).
+    ``hermite`` passes on S and on S^T alternate until S is diagonal.  This
+    terminates: after two passes on a nonzero S the pivot S_00 is nonzero, and
+    each pass replaces it by a divisor, the gcd of its row or column; when it
+    divides that line, the pass only subtracts multiples of it, and its row and
+    column end clear and stay clear.  So |S_00| falls finitely often, then the
+    passes act on S[1:, 1:].  A d_i that does not divide a later d_j (0 divides
+    only 0) gets row j added to its row; the next pass makes d_i gcd(d_i, d_j),
+    a proper divisor, and keeps the entries before it, so this too repeats
+    finitely often.  Signs are fixed last.  Deterministic for a fixed input.
     """
     if not any(a.entries):
         raise ValueError("Smith normal form of the zero matrix is not supported")
-    m, n = a.rows, a.cols
-    s = a.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
-
-    def swap_rows(i: int, j: int) -> None:
-        s[i], s[j] = s[j], s[i]
-        for r in u:
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for r in s:
-            r[i], r[j] = r[j], r[i]
-        v[i], v[j] = v[j], v[i]
-
-    def add_row(i: int, t: int, q: int) -> None:
-        # s.row[i] += q * s.row[t]; keeps a = u s v by u.col[t] -= q * u.col[i]
-        si, st = s[i], s[t]
-        for j in range(n):
-            si[j] += q * st[j]
-        for r in u:
-            r[t] -= q * r[i]
-
-    def add_col(j: int, t: int, q: int) -> None:
-        # s.col[j] += q * s.col[t]; keeps a = u s v by v.row[t] -= q * v.row[j]
-        for r in s:
-            r[j] += q * r[t]
-        vt, vj = v[t], v[j]
-        for k in range(n):
-            vt[k] -= q * vj[k]
-
-    def negate_row(i: int) -> None:
-        s[i] = [-x for x in s[i]]
-        for r in u:
-            r[i] = -r[i]
-
-    for t in range(min(m, n)):
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    x = s[i][j]
-                    if x != 0 and (best is None or abs(x) < best):
-                        best = abs(x)
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
-            if s[t][t] < 0:
-                negate_row(t)
-            p = s[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = -(s[i][t] // p)
-                    add_row(i, t, q)
-                    if s[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = -(s[t][j] // p)
-                    add_col(j, t, q)
-                    if s[t][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # Enforce d_t | every remaining entry before moving on.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if s[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        if t < m and t < n and s[t][t] < 0:
-            negate_row(t)
-
-    U = IntMatrix.from_rows(u)
-    S = IntMatrix.from_rows(s)
-    V = IntMatrix.from_rows(v)
-    return U, S, V
+    u, s, v = _identity(a.rows), a.to_rows(), _identity(a.cols)
+    while True:
+        while any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
+            s, _, tinv = hermite(s, inverse=True)  # s = h tinv
+            v = _matmul(tinv, v)
+            s, _, tinv = hermite(_transpose(s), inverse=True)  # s^T = h tinv
+            s, u = _transpose(s), _matmul(u, _transpose(tinv))
+        diag = [s[i][i] for i in range(min(a.rows, a.cols))]
+        bad = [(i, j) for i, di in enumerate(diag) for j in range(i + 1, len(diag))
+               if (diag[j] % di if di else diag[j])]
+        if not bad:
+            break
+        i, j = bad[0]
+        s[i][j] = s[j][j]  # s -> E s adds row j to row i, and u -> u E^-1
+        for row in u:
+            row[j] -= row[i]
+    for i, di in enumerate(diag):
+        if di < 0:
+            s[i][i] = -di
+            for row in u:
+                row[i] = -row[i]
+    return IntMatrix.from_rows(u), IntMatrix.from_rows(s), IntMatrix.from_rows(v)
 
 
 # -- the elimination kernel and its readings ------------------------------------

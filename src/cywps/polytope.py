@@ -23,11 +23,13 @@ degree-w monomials that ``wps.newton_points`` lists.
 Facet normals are the signed maximal minors (cofactors) of the edge vectors,
 and a hull point is a vertex when the facets through it meet in it alone, so
 neither needs an elimination.  Normalized volumes Vol_k = k! * vol_k have one
-kernel, ``simplex_volume``: a simplex measures the gcd of the k x k minors of
-its edge vectors, the index of its edge lattice in the saturated lattice of
-its direction span, and a rational simplex S is measured as the lattice
-simplex lS, by the scaling rule Vol_k(S) = Vol_k(lS) / l^k.  A face is the sum
-of the simplices of its pulling triangulation over the face lattice.
+kernel, ``simplex_volume``: a simplex measures the index of its edge lattice
+in the saturated lattice of its direction span, the gcd of the k x k minors of
+its edge vectors, read as the pivot product of one unimodular column
+reduction (``exact.hermite``) in O(k^2 n) steps, and a rational simplex S is
+measured as the lattice simplex lS, by the scaling rule
+Vol_k(S) = Vol_k(lS) / l^k.  A face is the sum of the simplices of its pulling
+triangulation over the face lattice.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .exact import (
     clear_denominators,
     echelon,
     format_rational,
+    hermite,
     int_det,
     primitive_vector,
 )
@@ -544,11 +547,13 @@ def simplex_volume(points: Sequence[Point]) -> Fraction:
     """Normalized volume Vol_k of conv(points), k = len(points) - 1, relative
     to span(edges) intersect Z^n; a single point measures 1.  Cleared by the
     lcm l of their denominators, the k edge vectors span a sublattice of the
-    saturated lattice of their span, of index the gcd of their k x k minors,
-    and Vol_k = index / l^k."""
+    saturated lattice of their span, of index the gcd of their k x k minors;
+    that gcd is |prod h_ii| of their column reduction ``hermite``, and
+    Vol_k = index / l^k.  Affinely dependent points measure 0."""
     scale, (base, *rest) = _cleared(points, 1)
-    edges = [[x - b for x, b in zip(v, base)] for v in rest]
-    return Fraction(math.gcd(*_maximal_minors(edges, len(base))), scale ** len(edges))
+    h = hermite([[x - b for x, b in zip(v, base)] for v in rest])[0]
+    index = math.prod(row[i] if i < len(row) else 0 for i, row in enumerate(h))
+    return Fraction(abs(index), scale ** len(h))
 
 
 def face_volume(p: Polytope, face: Face) -> Fraction:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import EnumerationLimitError, NotWellFormedError
-from .exact import IntMatrix, gcd_fold, smith_normal_form, unimodular_inverse
+from .exact import gcd_fold, hermite
 from .polytope import Polytope, hull_with_faces
 
 NEWTON_POINT_LIMIT = 10_000_000
@@ -137,46 +137,32 @@ class MirrorLattice:
 
 
 def mirror_lattice(w: WeightVector) -> MirrorLattice:
-    """Present Z^{d+1}/Z*w via the Smith normal form of the weight row.
+    """Present Z^{d+1}/Z*w by one unimodular column reduction of the weight row.
 
-    For w_0 = 1 the basis is pinned so that v_i = e_i (i >= 1) and
-    v_0 = -(w_1, ..., w_d); otherwise the SNF basis is used.  Fails on
-    non-well-formed vectors, whose generator images are not all primitive.
+    ``hermite`` gives w t = (1, 0, ..., 0) (w is primitive), so u -> u t maps
+    Z*w onto Z*e_0 and the rows of t without their first entry are the v_i.
+    Row 0 of t^-1 is w, so on w-perp its rows 1..d are coordinates in which
+    pairing with v_i reads off u_i.  For w_0 = 1 every step is a plain column
+    subtraction, t has columns e_0 and e_j - w_j e_0, and v_i = e_i (i >= 1),
+    v_0 = -(w_1, ..., w_d).  Fails on non-well-formed vectors, whose generator
+    images are not all primitive.
     """
     if not weight_flags(w)[0]:
         raise NotWellFormedError(f"weight vector {w} is not well-formed")
     ws = w.weights
     d = w.dim
-    if ws[0] == 1:
-        gens = [tuple(-x for x in ws[1:])]
-        gens += [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-        dual_rows = tuple(
-            tuple(1 if j == i + 1 else 0 for j in range(d + 1)) for i in range(d)
-        )
-    else:
-        row = IntMatrix.from_rows([list(ws)])
-        u_mat, s_mat, v_mat = smith_normal_form(row)
-        vinv = unimodular_inverse(v_mat)
-        v_rows = v_mat.to_rows()
-        vinv_rows = vinv.to_rows()
-        if u_mat.at(0, 0) * s_mat.at(0, 0) == -1:
-            v_rows[0] = [-x for x in v_rows[0]]
-            for r in vinv_rows:
-                r[0] = -r[0]
-        # now weights @ vinv = e_0, so vinv rows without their first entry are the v_i
-        gens = [tuple(r[1:]) for r in vinv_rows]
-        dual_rows = tuple(tuple(r) for r in v_rows[1:])
+    _, t, tinv = hermite([ws], transform=True, inverse=True)
+    gens = tuple(tuple(r[1:]) for r in t)
     assert all(
         gcd_fold(0, (abs(x) for x in g)) == 1 for g in gens
     ), "well-formed weights must give primitive generators"
-    lattice = MirrorLattice(ws, tuple(gens), dual_rows)
     assert all(
-        sum(wi * g[j] for wi, g in zip(ws, lattice.generators)) == 0 for j in range(d)
+        sum(wi * g[j] for wi, g in zip(ws, gens)) == 0 for j in range(d)
     ), "generators must satisfy the weight relation"
-    gen_matrix = IntMatrix.from_rows([list(g) for g in lattice.generators])
-    _, s, _ = smith_normal_form(gen_matrix)
-    assert all(s.at(i, i) == 1 for i in range(d)), "generators must span the full lattice"
-    return lattice
+    assert all(
+        abs(row[i]) == 1 for i, row in enumerate(hermite([list(c) for c in zip(*gens)])[0])
+    ), "generators must span the full lattice"
+    return MirrorLattice(ws, gens, tuple(tuple(r) for r in tinv[1:]))
 
 
 def mirror_simplex(lattice: MirrorLattice) -> Polytope:

@@ -69,3 +69,75 @@ def k3_weight_vectors():
     records = census(3, 100, "transverse")
     assert len(records) == 95
     return [WeightVector(r.weights) for r in records]
+
+
+def reference_snf(rows):
+    """The smallest-pivot Smith normal form that ``exact.smith_normal_form``
+    replaced, kept as the oracle of the SNF and of the volumes: returns (u, s, v)
+    as lists of rows with rows = u s v, u and v unimodular, s diagonal with
+    d1 | d2 | ... >= 0.  The pivot is the smallest nonzero entry by absolute
+    value, ties broken by position."""
+    m, n = len(rows), len(rows[0])
+    s = [list(r) for r in rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        for r in u:
+            r[i], r[j] = r[j], r[i]
+
+    def swap_cols(i, j):
+        for r in s:
+            r[i], r[j] = r[j], r[i]
+        v[i], v[j] = v[j], v[i]
+
+    def add_row(i, t, q):
+        # s.row[i] += q * s.row[t]; keeps rows = u s v by u.col[t] -= q * u.col[i]
+        s[i] = [x + q * y for x, y in zip(s[i], s[t])]
+        for r in u:
+            r[t] -= q * r[i]
+
+    def add_col(j, t, q):
+        # s.col[j] += q * s.col[t]; keeps rows = u s v by v.row[t] -= q * v.row[j]
+        for r in s:
+            r[j] += q * r[t]
+        v[t] = [x - q * y for x, y in zip(v[t], v[j])]
+
+    def negate_row(i):
+        s[i] = [-x for x in s[i]]
+        for r in u:
+            r[i] = -r[i]
+
+    for t in range(min(m, n)):
+        while True:
+            nonzero = [(abs(s[i][j]), i, j) for i in range(t, m) for j in range(t, n) if s[i][j]]
+            if not nonzero:
+                break
+            _, pi, pj = min(nonzero)
+            if pi != t:
+                swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            if s[t][t] < 0:
+                negate_row(t)
+            p = s[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                if s[i][t]:
+                    add_row(i, t, -(s[i][t] // p))
+                    dirty = dirty or s[i][t] != 0
+            for j in range(t + 1, n):
+                if s[t][j]:
+                    add_col(j, t, -(s[t][j] // p))
+                    dirty = dirty or s[t][j] != 0
+            if dirty:
+                continue
+            # enforce d_t | every remaining entry before moving on
+            offender = next(
+                (i for i in range(t + 1, m) for j in range(t + 1, n) if s[i][j] % p), None
+            )
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+    return u, s, v

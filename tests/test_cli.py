@@ -22,6 +22,16 @@ def test_verify_json(capsys):
     assert payload["methods_agree"] is True
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_verify_fermat_closed_form(capsys, n):
+    # the degree-n Fermat hypersurface in P^(n-1): chi = n + ((1 - n)^n - 1) / n;
+    # at d = n - 1 = 11 the stringy route measures faces of an 11-simplex
+    code, out, _ = run(capsys, "verify", ",".join(["1"] * n))
+    payload = json.loads(out)
+    assert code == 0 and payload["methods_agree"] is True
+    assert payload["chi_orb_formula"] == str(n + ((1 - n) ** n - 1) // n)
+
+
 def test_verify_json_round_trip(capsys):
     code, out, _ = run(capsys, "verify", "1,1,2,4,5")
     payload = json.loads(out)

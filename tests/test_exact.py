@@ -1,13 +1,17 @@
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_snf
 from cywps.exact import (
     IntMatrix,
     format_rational,
     gcd_fold,
+    hermite,
     primitive_vector,
     rat_det,
     rat_nullspace,
@@ -98,7 +102,15 @@ def test_snf_random(m, n, data):
     )
     if not any(entries):
         entries[0] = 1
-    _check_snf(IntMatrix(m, n, tuple(entries)))
+    a = IntMatrix(m, n, tuple(entries))
+    # the Smith diagonal is unique, so it must equal the reference's
+    _, ref, _ = reference_snf(a.to_rows())
+    assert _check_snf(a) == [ref[i][i] for i in range(min(m, n))]
+
+
+def test_snf_zero_matrix_refused():
+    with pytest.raises(ValueError):
+        smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]]))
 
 
 def test_unimodular_inverse():
@@ -234,3 +246,45 @@ def test_unimodular_inverse_of_elementary_products(m, data):
     assert abs(doubled.det()) == 2
     with pytest.raises(ValueError):
         unimodular_inverse(doubled)
+
+
+# -- the column-reduction kernel against the minors it reads -------------------
+
+
+@st.composite
+def _wide_int_matrices(draw):
+    """k x n integer matrices, k <= n <= 7, entries in [-30, 30]; some get a
+    zero row or a row that combines two others."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    rows = [draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n)) for _ in range(k)]
+    kind = draw(st.sampled_from(["fresh", "fresh", "zero", "combine"]))
+    i = draw(st.integers(0, k - 1))
+    if kind == "zero":
+        rows[i] = [0] * n
+    elif kind == "combine" and k > 1:
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [s * x + t * y for x, y in zip(rows[i - 1], rows[i - 2])]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_int_matrices())
+@example([[0, 0, 0], [1, 2, 3]])
+@example([[2, 4, 6], [1, 2, 3]])
+@example([[1, 1, 1]])
+def test_hermite_pivots_are_the_minor_gcd(rows):
+    k, n = len(rows), len(rows[0])
+    h, t, tinv = hermite(rows, transform=True, inverse=True)
+    minors = [_ref_det([[r[j] for j in cols] for r in rows]) for cols in combinations(range(n), k)]
+    assert abs(math.prod(h[i][i] for i in range(k))) == math.gcd(*(int(x) for x in minors))
+    assert _mul(IntMatrix.from_rows(rows), IntMatrix.from_rows(t)).to_rows() == h
+    assert _mul(IntMatrix.from_rows(t), IntMatrix.from_rows(tinv)).entries == IntMatrix.identity(n).entries
+    assert hermite(rows)[0] == h
+
+
+def test_hermite_weight_row_with_unit_first_weight_is_pinned():
+    # w_0 = 1 divides every entry, so every step is a plain column subtraction
+    _, t, tinv = hermite([[1, 1, 2, 3]], transform=True, inverse=True)
+    assert t == [[1, -1, -2, -3], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    assert tinv == [[1, 1, 2, 3], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -121,20 +122,22 @@ def test_pairing_consistency_small():
 def test_mirror_lattice_properties_random(data):
     rng = random.Random(data.draw(st.integers(0, 10**9)))
     dim = data.draw(st.sampled_from((2, 3, 4)))
+    # w_0 = 1 has the pinned basis, w_0 != 1 the reduction's own: draw both
+    unit_first = data.draw(st.booleans())
     w = random_well_formed(rng, dim, 200)
+    while (w.weights[0] == 1) != unit_first:
+        w = random_well_formed(rng, dim, 200)
     lat = mirror_lattice(w)
     gens = lat.generators
     # weighted relation
     for j in range(dim):
         assert sum(wi * g[j] for wi, g in zip(w.weights, gens)) == 0
     # primitivity
-    from math import gcd
-
     for g in gens:
-        acc = 0
-        for x in g:
-            acc = gcd(acc, abs(x))
-        assert acc == 1
+        assert math.gcd(*g) == 1
+    # index 1: the d x d minors of the generators (each omits one) have gcd 1
+    minors = [rat_det([g for k, g in enumerate(gens) if k != i]) for i in range(dim + 1)]
+    assert math.gcd(*(int(x) for x in minors)) == 1
     # normalized volume of conv(v_i) equals the degree (determinant oracle)
     rows = [[x - y for x, y in zip(v, gens[0])] for v in gens[1:]]
     assert abs(rat_det(rows)) == w.degree
