@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -133,11 +132,16 @@ def test_mirror_lattice_properties_random(data):
     for j in range(dim):
         assert sum(wi * g[j] for wi, g in zip(w.weights, gens)) == 0
     # primitivity
+    from math import gcd
+
     for g in gens:
-        assert math.gcd(*g) == 1
+        acc = 0
+        for x in g:
+            acc = gcd(acc, abs(x))
+        assert acc == 1
     # index 1: the d x d minors of the generators (each omits one) have gcd 1
     minors = [rat_det([g for k, g in enumerate(gens) if k != i]) for i in range(dim + 1)]
-    assert math.gcd(*(int(x) for x in minors)) == 1
+    assert gcd(*(int(x) for x in minors)) == 1
     # normalized volume of conv(v_i) equals the degree (determinant oracle)
     rows = [[x - y for x, y in zip(v, gens[0])] for v in gens[1:]]
     assert abs(rat_det(rows)) == w.degree
