@@ -5,19 +5,18 @@ exact rationals; there is no floating point anywhere in the package.  The
 rational type is the stdlib ``fractions.Fraction`` (always reduced,
 denominator >= 1), re-exported here as ``Rational``.
 
-Every row reduction in the package goes through one integer kernel,
-``echelon``: it clears each row's denominators once, at entry, and then
-runs fraction-free Gauss-Jordan elimination, dividing each updated row by its
-content so the entries stay small.  Rank, nullspace, solve and unimodular
-inverse are thin readings of its output; every determinant, a facet normal's
-cofactors included, goes through the one Bareiss elimination ``int_det``.
-``Fraction`` appears only in results.
+There are two elimination kernels, one over Q and one over Z.  Every row
+reduction goes through ``echelon``: it clears each row's denominators once,
+at entry, and then runs fraction-free Gauss-Jordan elimination, dividing each
+updated row by its content so the entries stay small.  Rank, nullspace, solve
+and unimodular inverse are thin readings of its output.  ``Fraction`` appears
+only in results.
 
-Lattice questions go through one unimodular column reduction, ``hermite``:
+Integer questions go through one unimodular column reduction, ``hermite``:
 2 x 2 column steps of determinant 1, with the transform and its inverse kept
-on request.  A simplex's normalized volume (the gcd of the maximal minors of
-its edges), the basis of the mirror lattice and the Smith normal form (passes
-on S and S^T, alternated) are readings of it.
+on request.  Determinants, primitive kernel vectors, simplex volumes (the gcd
+of the maximal minors of the edges), the mirror lattice's basis and the Smith
+normal form are readings of it.
 """
 
 from __future__ import annotations
@@ -80,35 +79,12 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def det(self) -> int:
+        """The pivot product of ``hermite``: its column steps have determinant
+        1, and a singular matrix leaves its last pivot 0."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        return int_det(self.to_rows())
-
-
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix by fraction-free Bareiss
-    elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        h = hermite(self.to_rows())[0]
+        return math.prod(row[i] for i, row in enumerate(h))
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -145,6 +121,8 @@ def hermite(
     is explicit, so tinv costs no elimination.  A row whose pivot stays 0
     takes no column.  The steps keep the gcd of the k x k minors
     (Cauchy-Binet), so for k <= n it is |prod h_ii|: Cohen, GTM 138, 2.4.
+    The columns of t past the last nonzero column of h are a basis of the
+    integer kernel {x in Z^n : A x = 0}, each one primitive.
     """
     n = len(rows[0]) if rows else 0
     h = [list(r) for r in rows]

@@ -13,20 +13,22 @@ inclusion-maximal nonempty proper meets of it with the facets.
 A lower-dimensional polytope is hulled as its projection onto the
 coordinates its affine hull projects onto one-to-one, so the hull sees the
 input's own numbers; its chart keeps, per ambient coordinate, the integer
-affine form that lifts a projected point back.  Eliminations happen only in
-``_affine_basis`` (a hull's dimension and start simplex) and once per chart.
+affine form that lifts a projected point back.  Rational eliminations
+(``exact.echelon``) happen only in ``_affine_basis``, once per hull for its
+dimension and start simplex, and once per chart.
 
 Lattice points come from one pruned bounding-box scan for every polytope,
 the dual simplex of a weight vector included; its lattice points are also the
 degree-w monomials that ``wps.newton_points`` lists.
 
-Facet normals are the signed maximal minors (cofactors) of the edge vectors,
-and a hull point is a vertex when the facets through it meet in it alone, so
-neither needs an elimination.  Normalized volumes Vol_k = k! * vol_k have one
-kernel, ``simplex_volume``: a simplex measures the index of its edge lattice
-in the saturated lattice of its direction span, the gcd of the k x k minors of
-its edge vectors, read as the pivot product of one unimodular column
-reduction (``exact.hermite``) in O(k^2 n) steps, and a rational simplex S is
+A facet normal and its offset are the primitive integer kernel vector of the
+rows (p, 1) of its points: the last column of the transform of one
+unimodular column reduction, ``exact.hermite``.  A hull point is a vertex
+when the facets through it meet in it alone.  Normalized volumes
+Vol_k = k! * vol_k have one kernel, ``simplex_volume``: a simplex measures
+the index of its edge lattice in the saturated lattice of its direction span,
+the gcd of the k x k minors of its edge vectors, read as the pivot product of
+the same column reduction in O(k^2 n) steps, and a rational simplex S is
 measured as the lattice simplex lS, by the scaling rule
 Vol_k(S) = Vol_k(lS) / l^k.  A face is the sum of the simplices of its pulling
 triangulation over the face lattice.
@@ -37,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, EnumerationLimitError
@@ -47,7 +48,6 @@ from .exact import (
     echelon,
     format_rational,
     hermite,
-    int_det,
     primitive_vector,
 )
 
@@ -271,41 +271,30 @@ def _chart(base: Point, spanning: Sequence[Point]) -> Chart:
     return coords, lifts
 
 
-def _maximal_minors(rows: Sequence[Sequence[int]], n: int) -> list[int]:
-    """The k x k minors of a k x n integer matrix, column sets in
-    lexicographic order."""
-    return [
-        int_det([[r[j] for j in cols] for r in rows]) for cols in combinations(range(n), len(rows))
-    ]
-
-
 def _hyperplane(points: Sequence[Point], inside: Point) -> tuple[tuple[int, ...], int]:
     """Primitive normal and offset of the hyperplane through k integer points
     in R^k, oriented so that <normal, inside> > -offset.
 
-    The normal is the vector of signed maximal minors (the cofactors) of the
-    k - 1 edge vectors, divided by their gcd; it vanishes exactly when the
-    points do not span a hyperplane."""
-    base = points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    # reversed, the minors come in the order of the column each one omits
-    minors = _maximal_minors(rows, len(base))[::-1]
-    g = math.gcd(*minors)
-    if not g:
+    (normal, offset) is the primitive kernel vector of the k x (k + 1) matrix
+    of rows (p, 1), the last column of its ``hermite`` transform; a zero last
+    pivot means the points do not span a hyperplane."""
+    h, t, _ = hermite([[*p, 1] for p in points], transform=True)
+    if not h[-1][-2]:
         raise ValueError("points do not span a hyperplane")
-    normal = tuple((-x if j % 2 else x) // g for j, x in enumerate(minors))
-    level = _dot(normal, base)
-    side = _dot(normal, inside)
-    if side < level:
-        normal = tuple(-x for x in normal)
-        level = -level
-    elif side == level:
+    *normal, offset = (row[-1] for row in t)
+    side = _dot(normal, inside) + offset
+    if side < 0:
+        return tuple(-x for x in normal), -offset
+    if side == 0:
         raise ValueError("reference point lies on the hyperplane")
-    return normal, -level
+    return tuple(normal), offset
 
 
-def _hull_full_dim(pts: list[Point]) -> list[tuple[tuple[int, ...], Fraction, list[int]]]:
-    """Beneath-beyond hull of points affinely spanning R^k (k >= 1).
+def _hull_full_dim(
+    pts: list[Point], chosen: list[int]
+) -> list[tuple[tuple[int, ...], Fraction, list[int]]]:
+    """Beneath-beyond hull of points affinely spanning R^k (k >= 1), started
+    from the simplex of points[0] and the points ``chosen`` by ``_affine_basis``.
 
     The points are scaled once by m = (k + 1) * lcm(denominators), which makes
     them and the centroid of the start simplex integral, so insertion, merging
@@ -315,7 +304,7 @@ def _hull_full_dim(pts: list[Point]) -> list[tuple[tuple[int, ...], Fraction, li
     """
     k = len(pts[0])
     m, pts = _cleared(pts, k + 1)
-    start = [0] + _affine_basis(pts)
+    start = [0] + chosen
     centre = tuple(sum(pts[i][j] for i in start) // (k + 1) for j in range(k))
 
     pieces: dict[int, tuple[frozenset[int], tuple[int, ...], int]] = {}
@@ -416,7 +405,9 @@ def hull_with_faces(points: Iterable[Sequence]) -> Polytope:
         projected = [tuple(p[c] for c in chart[0]) for p in pts]
     if dim == 0:
         return Polytope(ambient, 0, [pts[0]], [], chart)
-    raw = _hull_full_dim(projected)
+    # an injective affine map keeps the points' affine dependences, so the
+    # basis chosen on the input is the basis of its projection
+    raw = _hull_full_dim(projected, chosen)
     vertex_ids = sorted(set().union(*(f[2] for f in raw)))
     remap = {old: new for new, old in enumerate(vertex_ids)}
     facets = [Facet(nrm, off, tuple(remap[i] for i in ids)) for nrm, off, ids in raw]

@@ -51,7 +51,7 @@ from functools import lru_cache
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
-from .exact import format_rational, primitive_vector, rat_nullspace, rat_rank
+from .exact import format_rational, hermite
 from .polytope import hull_with_faces
 from .wps import WeightVector, weight_flags
 
@@ -59,8 +59,8 @@ _FILTERS = ("transverse", "ip", "all")
 
 
 def _reachable(weights: Sequence[int], degree: int, mask: int, memo: dict[int, int]) -> int:
-    """Bitset of degrees <= degree expressible as non-negative combinations of
-    the weights selected by ``mask``."""
+    """Bitset of degrees <= degree that are sums of the weights selected by
+    ``mask``, each taken any number of times."""
     cached = memo.get(mask)
     if cached is not None:
         return cached
@@ -204,8 +204,14 @@ def has_ip_property(w: WeightVector) -> bool:
         for a in (top, 0):
             add(tuple(x - 1 for x in monomial(i, a)[1:]))
 
-    while rat_rank(points) < d:
-        y, _ = primitive_vector(rat_nullspace(points, d)[0])
+    while True:
+        # the points span R^d iff the last column of their column reduction
+        # is nonzero; else the last column of t is a primitive direction they
+        # all vanish on
+        reduced, t, _ = hermite(points, transform=True)
+        if any(row[-1] for row in reduced):
+            break
+        y = tuple(row[-1] for row in t)
         for yy in (y, tuple(-x for x in y)):
             h, p = support(yy)
             if h == 0:

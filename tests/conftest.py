@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -69,6 +70,25 @@ def k3_weight_vectors():
     records = census(3, 100, "transverse")
     assert len(records) == 95
     return [WeightVector(r.weights) for r in records]
+
+
+def reference_det(rows):
+    """Determinant of a square matrix by plain Fraction Gaussian elimination."""
+    a = [list(map(Fraction, r)) for r in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
 
 
 def reference_snf(rows):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_snf
+from conftest import reference_det, reference_snf
 from cywps.exact import (
     IntMatrix,
     format_rational,
@@ -113,6 +113,13 @@ def test_snf_zero_matrix_refused():
         smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]]))
 
 
+def test_det_is_the_signed_pivot_product():
+    # a transposition, a singular matrix without a zero entry, the empty matrix
+    assert IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]).det() == -1
+    assert IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).det() == 0
+    assert IntMatrix.from_rows([]).det() == 1
+
+
 def test_unimodular_inverse():
     m = IntMatrix.from_rows([[1, 2], [0, 1]])
     inv = unimodular_inverse(m)
@@ -124,6 +131,7 @@ def test_unimodular_inverse():
 def test_rational_linear_algebra():
     assert rat_rank([[1, 2], [2, 4]]) == 1
     assert rat_det([[2, 0], [0, 3]]) == 6
+    assert rat_det([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == Fraction(-5, 6)
     ns = rat_nullspace([[1, 1, 1]], 3)
     assert len(ns) == 2
     assert primitive_vector([Fraction(2, 3), Fraction(-4, 3)]) == ((1, -2), Fraction(2, 3))
@@ -146,24 +154,6 @@ def _ref_rank(rows):
                 work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
         rank += 1
     return rank
-
-
-def _ref_det(rows):
-    a = [list(map(Fraction, r)) for r in rows]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 _entries = st.one_of(
@@ -209,7 +199,7 @@ def test_rank_and_nullspace_match_reference(rows):
 @given(_matrices(square=True), st.data())
 def test_det_and_solve_match_reference(rows, data):
     n = len(rows)
-    det = _ref_det(rows)
+    det = reference_det(rows)
     assert rat_det(rows) == det
     b = data.draw(st.lists(_entries, min_size=n, max_size=n))
     x = rat_solve(rows, b)
@@ -276,7 +266,7 @@ def _wide_int_matrices(draw):
 def test_hermite_pivots_are_the_minor_gcd(rows):
     k, n = len(rows), len(rows[0])
     h, t, tinv = hermite(rows, transform=True, inverse=True)
-    minors = [_ref_det([[r[j] for j in cols] for r in rows]) for cols in combinations(range(n), k)]
+    minors = [reference_det([[r[j] for j in cols] for r in rows]) for cols in combinations(range(n), k)]
     assert abs(math.prod(h[i][i] for i in range(k))) == math.gcd(*(int(x) for x in minors))
     assert _mul(IntMatrix.from_rows(rows), IntMatrix.from_rows(t)).to_rows() == h
     assert _mul(IntMatrix.from_rows(t), IntMatrix.from_rows(tinv)).entries == IntMatrix.identity(n).entries

@@ -24,7 +24,7 @@ from cywps.polytope import (
     simplex_volume,
 )
 from cywps.wps import WeightVector, dual_simplex, mirror_lattice, mirror_simplex
-from conftest import ip_pool, random_well_formed, reference_snf, small_ip_vectors
+from conftest import ip_pool, random_well_formed, reference_det, reference_snf, small_ip_vectors
 
 
 def _simplex(dim):
@@ -127,6 +127,63 @@ def test_hyperplane_cofactor_normal_and_degenerate_input():
         _hyperplane([(0, 0, 0), (1, 0, 0), (0, 1, 0)], (1, 1, 0))
 
 
+def _cofactor_hyperplane(points, inside):
+    """The construction ``_hyperplane`` replaced: the normal is the vector of
+    signed maximal minors (cofactors) of the k - 1 edge vectors, divided by
+    their gcd, with the minors from a plain Fraction elimination."""
+    base = points[0]
+    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
+    # reversed, the minors come in the order of the column each one omits
+    minors = [
+        int(reference_det([[r[j] for j in cols] for r in rows]))
+        for cols in combinations(range(len(base)), len(rows))
+    ][::-1]
+    g = math.gcd(*minors)
+    if not g:
+        raise ValueError("points do not span a hyperplane")
+    normal = tuple((-x if j % 2 else x) // g for j, x in enumerate(minors))
+    level = sum(a * b for a, b in zip(normal, base))
+    side = sum(a * b for a, b in zip(normal, inside))
+    if side < level:
+        normal, level = tuple(-x for x in normal), -level
+    elif side == level:
+        raise ValueError("reference point lies on the hyperplane")
+    return normal, -level
+
+
+@st.composite
+def _hyperplane_inputs(draw):
+    """k points in R^k for k = 1..7, some repeated, and a reference point
+    that is random or on their plane."""
+    k = draw(st.integers(1, 7))
+    coords = st.lists(st.integers(-1000, 1000), min_size=k, max_size=k)
+    points = []
+    for _ in range(k):
+        repeat = points and draw(st.integers(0, 3)) == 0
+        points.append(draw(st.sampled_from(points)) if repeat else tuple(draw(coords)))
+    if draw(st.booleans()):
+        inside = tuple(draw(coords))
+    else:
+        a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        inside = tuple(2 * x - y for x, y in zip(a, b))
+    return points, inside
+
+
+def _outcome(fn, points, inside):
+    try:
+        return fn(points, inside)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hyperplane_inputs())
+@example(([(-16,)], (-8,)))  # k = 1: the edge-vector matrix has no rows
+def test_hyperplane_matches_cofactor_oracle(case):
+    points, inside = case
+    assert _outcome(_hyperplane, points, inside) == _outcome(_cofactor_hyperplane, points, inside)
+
+
 def test_cross_polytope_dual_is_cube():
     cross = hull_with_faces(
         [tuple(s if j == i else 0 for j in range(3)) for i in range(3) for s in (1, -1)]
@@ -183,9 +240,9 @@ def test_lower_dimensional_hull_sees_integers_only(monkeypatch):
     seen = []
     hull = polytope._hull_full_dim
 
-    def spy(pts):
+    def spy(pts, chosen):
         seen.extend(pts)
-        return hull(pts)
+        return hull(pts, chosen)
 
     monkeypatch.setattr(polytope, "_hull_full_dim", spy)
     quad = hull_with_faces([(0, 0, 0, 0), (4, 0, 0, 0), (0, 3, 3, 0), (2, 2, 2, 0)])
