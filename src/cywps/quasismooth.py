@@ -59,8 +59,8 @@ _FILTERS = ("transverse", "ip", "all")
 
 
 def _reachable(weights: Sequence[int], degree: int, mask: int, memo: dict[int, int]) -> int:
-    """Bitset of degrees <= degree that are sums of the weights selected by
-    ``mask``, each taken any number of times."""
+    """Bitset of degrees <= degree expressible as non-negative combinations of
+    the weights selected by ``mask``."""
     cached = memo.get(mask)
     if cached is not None:
         return cached

@@ -449,7 +449,7 @@ def volume_by_snf(poly, face):
     for simplex in poly._triangulate(face):
         b = coords[simplex[0]]
         edges = [[x - y for x, y in zip(coords[u], b)] for u in simplex[1:]]
-        total += abs(IntMatrix.from_rows(edges).det())
+        total += abs(reference_det(edges))
     return Fraction(total, scale**face.dim)
 
 

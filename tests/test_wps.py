@@ -5,7 +5,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cywps.errors import NotWellFormedError
-from cywps.exact import rat_det
 from cywps.polytope import hull_with_faces, lattice_points
 from cywps.wps import (
     WeightVector,
@@ -17,7 +16,7 @@ from cywps.wps import (
     subset_gcd,
     weight_flags,
 )
-from conftest import random_well_formed
+from conftest import random_well_formed, reference_det
 
 
 def test_parse():
@@ -87,7 +86,7 @@ def test_quintic_simplex_volume_by_determinant():
     lat = mirror_lattice(WeightVector((1, 1, 1, 1, 1)))
     v0 = lat.generators[0]
     rows = [[x - y for x, y in zip(v, v0)] for v in lat.generators[1:]]
-    assert abs(rat_det(rows)) == 5
+    assert abs(reference_det(rows)) == 5
 
 
 def test_dual_simplex_triangle():
@@ -140,11 +139,11 @@ def test_mirror_lattice_properties_random(data):
             acc = gcd(acc, abs(x))
         assert acc == 1
     # index 1: the d x d minors of the generators (each omits one) have gcd 1
-    minors = [rat_det([g for k, g in enumerate(gens) if k != i]) for i in range(dim + 1)]
+    minors = [reference_det([g for k, g in enumerate(gens) if k != i]) for i in range(dim + 1)]
     assert gcd(*(int(x) for x in minors)) == 1
     # normalized volume of conv(v_i) equals the degree (determinant oracle)
     rows = [[x - y for x, y in zip(v, gens[0])] for v in gens[1:]]
-    assert abs(rat_det(rows)) == w.degree
+    assert abs(reference_det(rows)) == w.degree
 
 
 @settings(max_examples=60, deadline=None)
