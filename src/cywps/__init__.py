@@ -14,7 +14,7 @@ from .euler import (
     vafa_double_sum,
     vafa_subset_sum,
 )
-from .exact import IntMatrix, Rational, format_rational, gcd_fold, smith_normal_form
+from .exact import format_rational, gcd_fold
 from .mirror import LaurentPolynomial, ghv_polynomial
 from .polytope import (
     Polytope,
@@ -45,13 +45,11 @@ __all__ = [
     "DomainError",
     "EnumerationLimitError",
     "EulerReport",
-    "IntMatrix",
     "LaurentPolynomial",
     "MirrorLattice",
     "NotIPError",
     "NotWellFormedError",
     "Polytope",
-    "Rational",
     "WeightVector",
     "bracket",
     "census",
@@ -75,7 +73,6 @@ __all__ = [
     "newton_points",
     "normal_cone_section",
     "normalized_volume",
-    "smith_normal_form",
     "stringy_mirror_closed",
     "stringy_polytope",
     "stringy_reflexive",

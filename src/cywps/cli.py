@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 internal inconsistency detected by ``verify``
-(Euler-number methods disagree), 2 usage or parse errors, 3 domain errors
-(e.g. ``stringy`` without the IP-property), 4 enumeration limit exceeded.
+(Euler-number methods disagree), 2 usage or parse errors and unwritable
+output paths, 3 domain errors (e.g. ``stringy`` without the IP-property),
+4 enumeration limit exceeded.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

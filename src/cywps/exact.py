@@ -3,7 +3,8 @@
 Everything downstream (polytopes, volumes, Euler numbers) is computed over
 exact rationals; there is no floating point anywhere in the package.  The
 rational type is the stdlib ``fractions.Fraction`` (always reduced,
-denominator >= 1), re-exported here as ``Rational``.
+denominator >= 1), and a matrix is a plain list of rows (``list[list[int]]``
+for the integer routines).
 
 There are two elimination kernels, one over Q and one over Z.  Every row
 reduction goes through ``echelon``: it clears each row's denominators once,
@@ -22,11 +23,8 @@ normal form are readings of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 
 def gcd_fold(seed: int, extras: Iterable[int]) -> int:
@@ -45,46 +43,12 @@ def format_rational(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count must equal rows * cols")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, tuple(int(x) for row in rows for x in row))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_rows(_identity(n))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def det(self) -> int:
-        """The pivot product of ``hermite``: its column steps have determinant
-        1, and a singular matrix leaves its last pivot 0."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        h = hermite(self.to_rows())[0]
-        return math.prod(row[i] for i, row in enumerate(h))
+def _shape(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(row count, column count) of a row list; ragged rows are refused."""
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise ValueError("ragged rows")
+    return len(rows), n
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -144,7 +108,9 @@ def hermite(
     return h, t if transform else None, _transpose(tinv_t) if inverse else None
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def smith_normal_form(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Decompose ``a = U S V`` with U, V unimodular and S diagonal, d1 | d2 | ...
 
     ``hermite`` passes on S and on S^T alternate until S is diagonal.  This
@@ -157,16 +123,17 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     a proper divisor, and keeps the entries before it, so this too repeats
     finitely often.  Signs are fixed last.  Deterministic for a fixed input.
     """
-    if not any(a.entries):
+    m, n = _shape(rows)
+    if not any(map(any, rows)):
         raise ValueError("Smith normal form of the zero matrix is not supported")
-    u, s, v = _identity(a.rows), a.to_rows(), _identity(a.cols)
+    u, s, v = _identity(m), [list(row) for row in rows], _identity(n)
     while True:
         while any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
             s, _, tinv = hermite(s, inverse=True)  # s = h tinv
             v = _matmul(tinv, v)
             s, _, tinv = hermite(_transpose(s), inverse=True)  # s^T = h tinv
             s, u = _transpose(s), _matmul(u, _transpose(tinv))
-        diag = [s[i][i] for i in range(min(a.rows, a.cols))]
+        diag = [s[i][i] for i in range(min(m, n))]
         bad = [(i, j) for i, di in enumerate(diag) for j in range(i + 1, len(diag))
                if (diag[j] % di if di else diag[j])]
         if not bad:
@@ -180,7 +147,7 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             s[i][i] = -di
             for row in u:
                 row[i] = -row[i]
-    return IntMatrix.from_rows(u), IntMatrix.from_rows(s), IntMatrix.from_rows(v)
+    return u, s, v
 
 
 # -- the elimination kernel and its readings ------------------------------------
@@ -225,20 +192,19 @@ def echelon(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], 
     return work[: len(pivots)], pivots
 
 
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
+def unimodular_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Exact inverse of a unimodular integer matrix."""
-    if m.rows != m.cols:
+    m, n = _shape(rows)
+    if m != n:
         raise ValueError("not square")
-    n = m.rows
-    ident = IntMatrix.identity(n)
-    reduced, pivots = echelon([m.row(i) + ident.row(i) for i in range(n)])
+    reduced, pivots = echelon([[*row, *e] for row, e in zip(rows, _identity(n))])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     # each row of [M | I] and of its updates is primitive, so row i ends as
     # p * (e_i | i-th row of M^-1) with p = 1 exactly when that row is integral
     if any(row[i] != 1 for i, row in enumerate(reduced)):
         raise ValueError("matrix is not unimodular")
-    return IntMatrix.from_rows([row[n:] for row in reduced])
+    return [row[n:] for row in reduced]
 
 
 def rat_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
@@ -271,13 +237,14 @@ def rat_nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[
 
 
 def rat_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    scale = 1
-    ints = []
-    for row in rows:
-        m, r = clear_denominators(row)
-        scale *= m
-        ints.append(r)
-    return Fraction(IntMatrix.from_rows(ints).det(), scale)
+    """The signed pivot product of ``hermite`` on the cleared rows: its column
+    steps have determinant 1, and a singular matrix leaves its last pivot 0."""
+    m, n = _shape(rows)
+    if m != n:
+        raise ValueError("determinant of non-square matrix")
+    cleared = [clear_denominators(row) for row in rows]
+    h = hermite([r for _, r in cleared])[0]
+    return Fraction(math.prod(row[i] for i, row in enumerate(h)), math.prod(k for k, _ in cleared))
 
 
 def primitive_vector(vec: Sequence[Fraction | int]) -> tuple[tuple[int, ...], Fraction]:

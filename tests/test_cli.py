@@ -203,3 +203,16 @@ def test_verify_dump_polytope(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "1,1,1", "--dump-polytope", str(path))
     assert code == 0
     assert path.read_text().splitlines() == ["-1 -1", "0 1", "1 0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "1,1,1", "--dump-polytope"),
+        ("census", "--dim", "2", "--max-degree", "10", "--out"),
+    ],
+)
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, str(tmp_path / "missing" / "x"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cywps import polytope
 from cywps.errors import DomainError, EnumerationLimitError
-from cywps.exact import IntMatrix, primitive_vector, rat_rank, unimodular_inverse
+from cywps.exact import primitive_vector, rat_rank, unimodular_inverse
 from cywps.polytope import (
     _hyperplane,
     bracket,
@@ -438,11 +438,10 @@ def volume_by_snf(poly, face):
     prim_rows = [list(primitive_vector(d)[0]) for d in diffs if any(d)]
     k = rat_rank(prim_rows)
     _, _, v = reference_snf(prim_rows)
-    vinv = unimodular_inverse(IntMatrix.from_rows(v))
-    n = vinv.rows
+    vinv = unimodular_inverse(v)
     coords = {}
     for vid, d in zip(face.vertex_ids, diffs):
-        full = [sum(d[i] * vinv.at(i, j) for i in range(n)) for j in range(n)]
+        full = [sum(x * y for x, y in zip(d, col)) for col in zip(*vinv)]
         assert not any(full[k:]), "direction outside saturated span"
         coords[vid] = full[:k]
     total = 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cywps.polytope import hull_with_faces
 from cywps.quasismooth import (
     CensusRecord,
+    _knapsack_argmax,
     census,
     census_tsv,
     has_ip_property,
@@ -84,6 +85,21 @@ def test_ip_axis_supports_refute_without_knapsack(monkeypatch):
         w = WeightVector(ws)
         assert 2 * max(ws) <= w.degree
         assert not has_ip_property(w)
+
+
+@settings(max_examples=100, deadline=None)
+# (weight, direction entry) pairs
+@given(st.lists(st.tuples(st.integers(1, 10), st.integers(-10, 10)), min_size=3, max_size=5))
+@example([(1, 0), (1, 0), (1, 0)])  # every monomial ties
+@example([(2, -4), (3, 1), (5, 7)])
+def test_knapsack_argmax_is_the_newton_point_maximum(pairs):
+    ws, direction = zip(*pairs)
+    w = WeightVector(ws)
+    value, u = _knapsack_argmax(ws, w.degree, direction)
+    pairing = [sum(y * x for y, x in zip(direction, p)) for p in newton_points(w)]
+    assert value == max(pairing)
+    assert min(u) >= 0 and sum(wi * x for wi, x in zip(ws, u)) == w.degree
+    assert sum(y * x for y, x in zip(direction, u)) == value
 
 
 def test_ip_pool_vectors_are_ip():
