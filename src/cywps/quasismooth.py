@@ -124,10 +124,14 @@ def _knapsack_argmax(ws: Sequence[int], deg: int, direction: Sequence[int]):
     t = deg
     while t:
         # walk back along the first i attaining best[t]
-        i = next(i for i, wi in enumerate(ws)
-                 if wi <= t and best[t - wi] is not None and best[t - wi] + direction[i] == best[t])
+        bt = best[t]
+        for i, wi in enumerate(ws):
+            if wi <= t:
+                prev = best[t - wi]
+                if prev is not None and prev + direction[i] == bt:
+                    break
         u[i] += 1
-        t -= ws[i]
+        t -= wi
     return value, tuple(u)
 
 

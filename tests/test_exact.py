@@ -116,22 +116,22 @@ def test_snf_zero_matrix_refused():
 
 
 @pytest.mark.parametrize(
-    "fn, rows",
+    "fn, rows, message",
     [
-        (rat_det, [[1, 2], [3]]),
-        (rat_det, [[1], [2, 3]]),
-        (unimodular_inverse, [[1, 0], [0]]),
-        (unimodular_inverse, [[1], [0, 1]]),
-        (smith_normal_form, [[1, 2], [3]]),
-        (smith_normal_form, [[1], [2, 3]]),
-        (rat_det, [[1, 2, 3], [4, 5, 6]]),
-        (rat_det, [[1, 2], [3, 4], [5, 6]]),
-        (unimodular_inverse, [[1, 0, 0], [0, 1, 0]]),
-        (unimodular_inverse, [[1], [0]]),
+        (rat_det, [[1, 2], [3]], "ragged"),
+        (rat_det, [[1], [2, 3]], "ragged"),
+        (unimodular_inverse, [[1, 0], [0]], "ragged"),
+        (unimodular_inverse, [[1], [0, 1]], "ragged"),
+        (smith_normal_form, [[1, 2], [3]], "ragged"),
+        (smith_normal_form, [[1], [2, 3]], "ragged"),
+        (rat_det, [[1, 2, 3], [4, 5, 6]], "square"),
+        (rat_det, [[1, 2], [3, 4], [5, 6]], "square"),
+        (unimodular_inverse, [[1, 0, 0], [0, 1, 0]], "square"),
+        (unimodular_inverse, [[1], [0]], "square"),
     ],
 )
-def test_ragged_and_non_square_refused(fn, rows):
-    with pytest.raises(ValueError):
+def test_ragged_and_non_square_refused(fn, rows, message):
+    with pytest.raises(ValueError, match=message):
         fn(rows)
 
 
