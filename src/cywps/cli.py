@@ -106,12 +106,20 @@ def _cmd_mirror(args) -> int:
     return 0
 
 
+def _open_output(path):
+    """Open an output path for writing; a path that cannot be opened is a usage error."""
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _cmd_verify(args) -> int:
     w = WeightVector.parse(args.weights)
     report = mirror_test(w)
     if args.dump_polytope:
         simplex = mirror_simplex(mirror_lattice(w))
-        with open(args.dump_polytope, "w", encoding="ascii") as fh:
+        with _open_output(args.dump_polytope) as fh:
             fh.write(simplex.dump())
     if args.format == "json":
         print(report.to_json())
@@ -123,7 +131,7 @@ def _cmd_verify(args) -> int:
 def _cmd_census(args) -> int:
     lines = census_tsv(args.dim, args.max_degree, args.filter, args.jobs)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
+        with _open_output(args.out) as fh:
             for line in lines:
                 fh.write(line + "\n")
     else:
@@ -200,7 +208,7 @@ def main(argv=None) -> int:
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError) as exc:  # OSError: an output path that cannot be written
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

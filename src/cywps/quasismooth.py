@@ -108,8 +108,10 @@ def _knapsack_argmax(ws: Sequence[int], deg: int, direction: Sequence[int]):
     """(max <direction, u>, maximizer u) over u >= 0 with sum(w_i u_i) = deg."""
     best: list[int | None] = [None] * (deg + 1)
     best[0] = 0
+    take = [0] * (deg + 1)
     for t in range(1, deg + 1):
         b = None
+        pick = -1
         for i, wi in enumerate(ws):
             if wi <= t:
                 prev = best[t - wi]
@@ -117,21 +119,17 @@ def _knapsack_argmax(ws: Sequence[int], deg: int, direction: Sequence[int]):
                     v = prev + direction[i]
                     if b is None or v > b:
                         b = v
+                        pick = i
         best[t] = b
+        take[t] = pick
     value = best[deg]
     assert value is not None, "degree w is always reachable (the all-ones monomial)"
     u = [0] * len(ws)
     t = deg
     while t:
-        # walk back along the first i attaining best[t]
-        bt = best[t]
-        for i, wi in enumerate(ws):
-            if wi <= t:
-                prev = best[t - wi]
-                if prev is not None and prev + direction[i] == bt:
-                    break
+        i = take[t]
         u[i] += 1
-        t -= wi
+        t -= ws[i]
     return value, tuple(u)
 
 

@@ -215,4 +215,15 @@ def test_verify_dump_polytope(tmp_path, capsys):
 def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, str(tmp_path / "missing" / "x"))
     assert (code, out) == (2, "")
-    assert err.startswith("error:")
+    assert err.startswith("error: cannot write")
+
+
+def test_other_os_errors_are_not_usage_errors(monkeypatch):
+    # e.g. a worker pool that cannot start, or a closed stdout pipe: an
+    # environment failure propagates instead of exiting 2
+    def fail(*args):
+        raise BrokenPipeError("stdout closed")
+
+    monkeypatch.setattr(cli, "census_tsv", fail)
+    with pytest.raises(BrokenPipeError):
+        main(["census", "--dim", "2", "--max-degree", "10"])
