@@ -9,6 +9,7 @@ output paths, 3 domain errors (e.g. ``stringy`` without the IP-property),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -24,7 +25,7 @@ from .euler import (
 )
 from .exact import format_rational
 from .mirror import ghv_polynomial
-from .quasismooth import census_tsv, has_ip_property, is_transverse
+from .quasismooth import census_jobs, census_tsv, has_ip_property, is_transverse
 from .wps import WeightVector, mirror_lattice, mirror_simplex, weight_flags
 
 
@@ -129,14 +130,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    lines = census_tsv(args.dim, args.max_degree, args.filter, args.jobs)
-    if args.out:
-        with _open_output(args.out) as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    else:
-        for line in lines:
-            print(line)
+    # check the arguments, then open the output, then enumerate: a refused
+    # census touches no file, and an unwritable path costs no enumeration
+    jobs = census_jobs(args.dim, args.filter, args.jobs)
+    with _open_output(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+        for line in census_tsv(args.dim, args.max_degree, args.filter, jobs):
+            out.write(line + "\n")
     return 0
 
 

@@ -6,18 +6,15 @@ rational type is the stdlib ``fractions.Fraction`` (always reduced,
 denominator >= 1), and a matrix is a plain list of rows (``list[list[int]]``
 for the integer routines).
 
-There are two elimination kernels, one over Q and one over Z.  Every row
-reduction goes through ``echelon``: it clears each row's denominators once,
-at entry, and then runs fraction-free Gauss-Jordan elimination, dividing each
-updated row by its content so the entries stay small.  Rank, nullspace, solve
-and unimodular inverse are thin readings of its output.  ``Fraction`` appears
-only in results.
-
-Integer questions go through one unimodular column reduction, ``hermite``:
+There is one elimination kernel, the unimodular column reduction ``hermite``:
 2 x 2 column steps of determinant 1, with the transform and its inverse kept
-on request.  Determinants, primitive kernel vectors, simplex volumes (the gcd
-of the maximal minors of the edges), the mirror lattice's basis and the Smith
-normal form are readings of it.
+on request.  Every other routine is a reading of it.  Over Z: determinants,
+primitive kernel vectors, simplex volumes (the gcd of the maximal minors of
+the edges), the mirror lattice's basis, the unimodular inverse and the Smith
+normal form.  Over Q, on rows cleared of their denominators: the rank is the
+number of rows that take a pivot, a nullspace basis is the transform's
+columns past the rank, and a solution of A x = b is a kernel vector of
+[A | -b].  ``Fraction`` appears only in results.
 """
 
 from __future__ import annotations
@@ -150,7 +147,7 @@ def smith_normal_form(
     return u, s, v
 
 
-# -- the elimination kernel and its readings ------------------------------------
+# -- readings of the column reduction ------------------------------------------
 
 
 def clear_denominators(row: Sequence[Fraction | int]) -> tuple[int, list[int]]:
@@ -159,81 +156,69 @@ def clear_denominators(row: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     return m, [x.numerator * (m // x.denominator) for x in row]
 
 
-def echelon(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over the integers, without fractions.
+def pivot_rows(h: Sequence[Sequence[int]]) -> list[int]:
+    """The rows of a ``hermite`` result h that took a pivot column: the first
+    linearly independent rows of its input, in order, one per column of h
+    that is not zero."""
+    out: list[int] = []
+    for r, row in enumerate(h):
+        if len(out) < len(row) and row[len(out)]:
+            out.append(r)
+    return out
 
-    Returns ``(reduced, pivots)``: one integer row per pivot, in pivot order.
-    Row i is positive in column ``pivots[i]`` and zero in every other pivot
-    column, so over Q it is the i-th row of the reduced echelon form times
-    that entry.  The pivots are the first linearly independent columns.
-    """
-    work = [r for _, r in map(clear_denominators, rows) if any(r)]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(work):
-            break
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        if work[r][col] < 0:
-            work[r] = [-x for x in work[r]]
-        prow = work[r]
-        p = prow[col]
-        for i, row in enumerate(work):
-            f = row[col]
-            if f and i != r:
-                row = [p * x - f * y for x, y in zip(row, prow)]
-                g = math.gcd(*row)
-                work[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
-    return work[: len(pivots)], pivots
+
+def _reduce(rows: Sequence[Sequence[Fraction | int]], ncols: int):
+    """``hermite`` with its transform on the rows, each cleared of its
+    denominators; no rows read as one zero row of ``ncols`` columns."""
+    return hermite([clear_denominators(row)[1] for row in rows] or [[0] * ncols], transform=True)
 
 
 def unimodular_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix M.
+
+    M t = h is lower triangular, and its diagonal is +-1 exactly when M is
+    unimodular; column steps on h and t that clear h below its diagonal and
+    fix its signs turn h into I and t into M^-1."""
     m, n = _shape(rows)
     if m != n:
         raise ValueError("not square")
-    reduced, pivots = echelon([[*row, *e] for row, e in zip(rows, _identity(n))])
-    if pivots != list(range(n)):
+    h, t, _ = hermite(rows, transform=True)
+    if not all(row[i] for i, row in enumerate(h)):
         raise ValueError("matrix is singular")
-    # each row of [M | I] and of its updates is primitive, so row i ends as
-    # p * (e_i | i-th row of M^-1) with p = 1 exactly when that row is integral
-    if any(row[i] != 1 for i, row in enumerate(reduced)):
+    if any(abs(row[i]) != 1 for i, row in enumerate(h)):
         raise ValueError("matrix is not unimodular")
-    return [row[n:] for row in reduced]
+    for i in range(n):  # column i is zero above row i until its turn
+        for c in range(i):
+            f = h[i][c] * h[i][i]
+            if f:
+                for row in h[i:] + t:
+                    row[c] -= f * row[i]
+    return [[x * h[j][j] for j, x in enumerate(row)] for row in t]
 
 
 def rat_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    return len(echelon(rows)[1])
+    return len(pivot_rows(_reduce(rows, 0)[0]))
 
 
 def rat_solve(a_rows: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]):
-    """Solve the square system A x = b exactly; returns None if singular."""
+    """Solve the square system A x = b exactly; returns None if singular.
+
+    The kernel of [A | -b] is spanned by one (s x, s) with s != 0 exactly
+    when A is regular: for a singular A, [A | -b] has rank below n or its
+    kernel vector has s = 0."""
     n = len(a_rows)
-    reduced, pivots = echelon([[*row, rhs] for row, rhs in zip(a_rows, b)])
-    if pivots != list(range(n)):
+    h, t, _ = _reduce([[*row, -rhs] for row, rhs in zip(a_rows, b)], n + 1)
+    *v, s = (row[-1] for row in t)
+    if len(pivot_rows(h)) < n or not s:
         return None
-    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(reduced))
+    return tuple(Fraction(x, s) for x in v)
 
 
 def rat_nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[tuple[int, ...]]:
-    """Basis of the right nullspace {x : rows @ x = 0}, as integer vectors."""
-    reduced, pivots = echelon(rows)
-    scale = math.lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [0] * ncols
-        vec[fc] = scale
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[fc] * (scale // row[pc])
-        basis.append(tuple(vec))
-    return basis
+    """Basis of the right nullspace {x : rows @ x = 0}: the primitive integer
+    columns of the ``hermite`` transform past the rank."""
+    h, t, _ = _reduce(rows, ncols)
+    return [tuple(row[j] for row in t) for j in range(len(pivot_rows(h)), ncols)]
 
 
 def rat_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:

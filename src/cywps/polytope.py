@@ -13,9 +13,10 @@ inclusion-maximal nonempty proper meets of it with the facets.
 A lower-dimensional polytope is hulled as its projection onto the
 coordinates its affine hull projects onto one-to-one, so the hull sees the
 input's own numbers; its chart keeps, per ambient coordinate, the integer
-affine form that lifts a projected point back.  Rational eliminations
-(``exact.echelon``) happen only in ``_affine_basis``, once per hull for its
-dimension and start simplex, and once per chart.
+affine form that lifts a projected point back.  There is no rational
+elimination: ``_affine_basis`` (once per hull, for its dimension and start
+simplex) and ``_chart`` read pivot rows and kernel vectors of the integer
+column reduction ``exact.hermite`` on cleared points.
 
 Lattice points come from one pruned bounding-box scan for every polytope,
 the dual simplex of a weight vector included; its lattice points are also the
@@ -45,9 +46,9 @@ from .errors import DomainError, EnumerationLimitError
 from .exact import (
     as_exact,
     clear_denominators,
-    echelon,
     format_rational,
     hermite,
+    pivot_rows,
     primitive_vector,
 )
 
@@ -248,26 +249,30 @@ def _cleared(points: Sequence[Point], factor: int) -> tuple[int, list[tuple[int,
 
 def _affine_basis(points: Sequence[Point]) -> list[int]:
     """Indices of the points whose differences from points[0] are the first
-    independent ones, in input order; with points[0] they span the affine
-    hull, so their number is its dimension."""
-    base = points[0]
-    _, pivots = echelon([[p[j] - base[j] for p in points[1:]] for j in range(len(base))])
-    return [c + 1 for c in pivots]
+    independent ones (their ``hermite`` pivot rows); with points[0] they span
+    the affine hull, so their number is its dimension."""
+    _, (base, *rest) = _cleared(points, 1)
+    h = hermite([[x - b for x, b in zip(p, base)] for p in rest])[0]
+    return [r + 1 for r in pivot_rows(h)]
 
 
 def _chart(base: Point, spanning: Sequence[Point]) -> Chart:
     """Chart of the affine hull of ``base`` and the affinely independent
-    ``spanning`` points: the pivot coordinates ``coords`` onto which it
-    projects one-to-one, and for each ambient coordinate j the integers
-    (m, g, g0) with m * x_j = <g, y> + g0 for y the projection of x."""
-    rows, coords = echelon([[x - b for x, b in zip(p, base)] for p in spanning])
-    # the hull is {base + sum_i t_i rows[i]}, and row i vanishes on every
-    # pivot coordinate but coords[i], so t_i = (y_i - base[coords[i]]) / rows[i][coords[i]]
+    ``spanning`` points: the first coordinates ``coords`` onto which it
+    projects one-to-one, the pivot rows of ``hermite`` on the transposed
+    edges, and for each ambient coordinate j the primitive (m, g, g0), m > 0,
+    with m * x_j = <g, y> + g0 for y the projection of x: as in
+    ``_hyperplane``, the kernel vector (a, a_j, a_0) of the rows
+    (p_coords, p_j, 1) of the cleared points p, a_j != 0 as coords fix p_j."""
+    l, cleared = _cleared([base, *spanning], 1)
+    edges = [[x - y for x, y in zip(p, cleared[0])] for p in cleared[1:]]
+    coords = pivot_rows(hermite(list(zip(*edges)))[0])
     lifts = []
     for j in range(len(base)):
-        g = [Fraction(row[j], row[c]) for row, c in zip(rows, coords)]
-        m, ints = clear_denominators([*g, base[j] - _dot(g, [base[c] for c in coords])])
-        lifts.append((m, tuple(ints[:-1]), ints[-1]))
+        t = hermite([[*(p[c] for c in coords), p[j], 1] for p in cleared], transform=True)[1]
+        *a, aj, a0 = (row[-1] if t[-2][-1] < 0 else -row[-1] for row in t)  # so m > 0
+        m, *g, g0 = primitive_vector([-aj * l, *(l * x for x in a), a0])[0]
+        lifts.append((m, tuple(g), g0))
     return coords, lifts
 
 

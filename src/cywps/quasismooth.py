@@ -386,6 +386,20 @@ def _census_degree(args: tuple[int, int, str]) -> list[CensusRecord]:
     return out
 
 
+def census_jobs(dim: int, flt: str = "all", jobs: int | None = None) -> int:
+    """The worker count of a census, ``jobs`` else CYWPS_JOBS else 1; raises
+    ValueError, before any enumeration, on every argument ``census`` refuses."""
+    if dim not in (2, 3, 4):
+        raise ValueError("census supports dimensions 2, 3 and 4")
+    if flt not in _FILTERS:
+        raise ValueError(f"filter must be one of {_FILTERS}")
+    if jobs is None:
+        jobs = int(os.environ.get("CYWPS_JOBS", "1"))
+    if jobs < 1:
+        raise ValueError(f"census needs at least one worker, got {jobs}")
+    return jobs
+
+
 def census(
     dim: int, max_degree: int, flt: str = "all", jobs: int | None = None
 ) -> list[CensusRecord]:
@@ -395,14 +409,7 @@ def census(
     The result is deterministic for any worker count: degrees are processed
     independently and merged by sorting.
     """
-    if dim not in (2, 3, 4):
-        raise ValueError("census supports dimensions 2, 3 and 4")
-    if flt not in _FILTERS:
-        raise ValueError(f"filter must be one of {_FILTERS}")
-    if jobs is None:
-        jobs = int(os.environ.get("CYWPS_JOBS", "1"))
-    if jobs < 1:
-        raise ValueError(f"census needs at least one worker, got {jobs}")
+    jobs = census_jobs(dim, flt, jobs)
     # expensive degrees first, so workers stay balanced
     tasks = [(dim, n, flt) for n in range(max_degree, dim, -1)]
     if jobs > 1 and len(tasks) > 1:

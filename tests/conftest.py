@@ -91,6 +91,40 @@ def reference_det(rows):
     return det
 
 
+def reference_rank(rows):
+    """Rank of a matrix by plain Fraction Gauss-Jordan elimination."""
+    work = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col] / work[rank][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def reference_inverse(rows):
+    """Inverse of a regular square matrix by plain Fraction Gauss-Jordan
+    elimination on [A | I], with integral entries as int."""
+    n = len(rows)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    work = [list(map(Fraction, [*r, *e])) for r, e in zip(rows, eye)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if work[r][col])
+        work[col], work[piv] = work[piv], work[col]
+        work[col] = [x / work[col][col] for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return [[x.numerator if x.denominator == 1 else x for x in r[n:]] for r in work]
+
+
 def reference_snf(rows):
     """The smallest-pivot Smith normal form that ``exact.smith_normal_form``
     replaced, kept as the oracle of the SNF and of the volumes: returns (u, s, v)

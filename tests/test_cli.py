@@ -142,6 +142,36 @@ def test_census_refusal_writes_nothing(tmp_path, capsys, monkeypatch, argv, env)
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("--dim", "5", "--max-degree", "10"), None),
+        (("--dim", "3", "--max-degree", "12"), "0"),
+    ],
+)
+def test_census_refusal_keeps_existing_output(tmp_path, capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("CYWPS_JOBS", env)
+    path = tmp_path / "census.tsv"
+    path.write_text("kept\n")
+    code, out, _ = run(capsys, "census", *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert path.read_text() == "kept\n"
+
+
+def test_unwritable_census_output_is_refused_before_enumeration(tmp_path, capsys, monkeypatch):
+    import cywps.quasismooth as qs
+
+    def fail(args):
+        raise AssertionError("the census ran before its output was opened")
+
+    monkeypatch.setattr(qs, "_census_degree", fail)
+    code, out, err = run(capsys, "census", "--dim", "3", "--max-degree", "12",
+                         "--out", str(tmp_path / "missing" / "x"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write")
+
+
 def test_exit_code_parse_error(capsys):
     code, _, err = run(capsys, "euler", "0,1,2")
     assert code == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_det, reference_snf
+from conftest import reference_det, reference_rank, reference_snf
 from cywps.exact import (
     format_rational,
     gcd_fold,
@@ -58,8 +58,8 @@ def _mul(a, b):
 def _check_snf(a):
     u, s, v = smith_normal_form(a)
     assert _mul(_mul(u, s), v) == a
-    assert abs(rat_det(u)) == 1
-    assert abs(rat_det(v)) == 1
+    assert abs(reference_det(u)) == 1
+    assert abs(reference_det(v)) == 1
     diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
     for i, row in enumerate(s):
         for j, x in enumerate(row):
@@ -146,8 +146,11 @@ def test_unimodular_inverse():
     m = [[1, 2], [0, 1]]
     inv = unimodular_inverse(m)
     assert _mul(m, inv) == _eye(2)
+    assert unimodular_inverse([]) == []
     with pytest.raises(ValueError):
         unimodular_inverse([[2, 0], [0, 1]])
+    with pytest.raises(ValueError, match="singular"):
+        unimodular_inverse([[1, 2], [2, 4]])
 
 
 def test_rational_linear_algebra():
@@ -156,26 +159,16 @@ def test_rational_linear_algebra():
     assert rat_det([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == Fraction(-5, 6)
     ns = rat_nullspace([[1, 1, 1]], 3)
     assert len(ns) == 2
+    # no rows: rank 0, the whole space as kernel, the empty solution
+    assert rat_rank([]) == 0
+    assert rat_nullspace([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert rat_solve([], []) == ()
+    assert rat_solve([[1, 2], [2, 4]], [1, 2]) is None
+    assert rat_solve([[1, 2], [2, 4]], [1, 3]) is None
     assert primitive_vector([Fraction(2, 3), Fraction(-4, 3)]) == ((1, -2), Fraction(2, 3))
 
 
-# -- the elimination kernel against plain Fraction Gauss-Jordan ----------------
-
-
-def _ref_rank(rows):
-    work = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    for col in range(len(work[0]) if work else 0):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col] / work[rank][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+# -- the rational readings of hermite against plain Fraction Gauss-Jordan -----
 
 
 _entries = st.one_of(
@@ -208,7 +201,7 @@ def _matrices(draw, square=False):
 @given(_matrices())
 def test_rank_and_nullspace_match_reference(rows):
     ncols = len(rows[0])
-    rank = _ref_rank(rows)
+    rank = reference_rank(rows)
     assert rat_rank(rows) == rank
     basis = rat_nullspace(rows, ncols)
     assert len(basis) == ncols - rank

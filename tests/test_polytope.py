@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 from cywps import polytope
 from cywps.errors import DomainError, EnumerationLimitError
-from cywps.exact import primitive_vector, rat_rank, unimodular_inverse
+from cywps.exact import primitive_vector
 from cywps.polytope import (
+    Face,
+    _affine_basis,
+    _chart,
     _hyperplane,
     bracket,
     dual_polytope,
@@ -24,7 +28,15 @@ from cywps.polytope import (
     simplex_volume,
 )
 from cywps.wps import WeightVector, dual_simplex, mirror_lattice, mirror_simplex
-from conftest import ip_pool, random_well_formed, reference_det, reference_snf, small_ip_vectors
+from conftest import (
+    ip_pool,
+    random_well_formed,
+    reference_det,
+    reference_inverse,
+    reference_rank,
+    reference_snf,
+    small_ip_vectors,
+)
 
 
 def _simplex(dim):
@@ -66,7 +78,7 @@ def _assert_vh_consistent(poly):
         # supported by at least d affinely independent vertices
         pts = [poly.vertices[i] for i in f.vertex_ids]
         base = pts[0]
-        assert rat_rank([[x - b for x, b in zip(p, base)] for p in pts[1:]]) == d - 1
+        assert reference_rank([[x - b for x, b in zip(p, base)] for p in pts[1:]]) == d - 1
         from math import gcd
 
         acc = 0
@@ -115,7 +127,7 @@ def test_hull_vh_consistency_random(dim, data):
             assert poly.contains(p)
             # the rank definition: p is a vertex iff its tight facet normals have rank d
             tight = [f.normal for f in poly.facets if _dot(f.normal, p) + f.offset == 0]
-            assert (p in poly.vertices) == (rat_rank(tight) == dim)
+            assert (p in poly.vertices) == (reference_rank(tight) == dim)
 
 
 def test_hyperplane_cofactor_normal_and_degenerate_input():
@@ -384,7 +396,7 @@ def test_face_lattice_graded_from_incidences(pts):
         for face in faces:
             verts = [poly.vertices[i] for i in face.vertex_ids]
             # the dimension oracle is the affine rank of the face's vertices
-            assert face.dim == k == rat_rank([[x - b for x, b in zip(v, verts[0])] for v in verts])
+            assert face.dim == k == reference_rank([[x - b for x, b in zip(v, verts[0])] for v in verts])
             assert face.facet_ids == tuple(
                 j for j, f in enumerate(poly.facets) if set(face.vertex_ids) <= set(f.vertex_ids)
             )
@@ -436,9 +448,9 @@ def volume_by_snf(poly, face):
     base, *rest = [tuple(int(scale * x) for x in v) for v in verts]
     diffs = [(0,) * len(base)] + [tuple(x - b for x, b in zip(v, base)) for v in rest]
     prim_rows = [list(primitive_vector(d)[0]) for d in diffs if any(d)]
-    k = rat_rank(prim_rows)
+    k = reference_rank(prim_rows)
     _, _, v = reference_snf(prim_rows)
-    vinv = unimodular_inverse(v)
+    vinv = reference_inverse(v)
     coords = {}
     for vid, d in zip(face.vertex_ids, diffs):
         full = [sum(x * y for x, y in zip(d, col)) for col in zip(*vinv)]
@@ -462,6 +474,53 @@ def test_face_volumes_match_snf_oracle(pts):
     for faces in poly.faces_by_dim.values():
         for face in faces:
             assert face_volume(poly, face) == volume_by_snf(poly, face)
+
+
+def test_oracles_do_not_run_on_the_kernel(monkeypatch):
+    # an oracle that called hermite would move with a defect of it, so every
+    # oracle of these tests has to answer with hermite raising in every module
+    poly = hull_with_faces([(0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, Fraction(1, 2)), (2, 0, 1, 3)])
+    faces = [face for faces in poly.faces_by_dim.values() for face in faces]
+    volumes = [face_volume(poly, face) for face in faces]
+    plane = _hyperplane([(1, 0, 0), (0, 2, 0), (0, 0, 3)], (0, 0, 0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle ran on hermite")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cywps" and hasattr(module, "hermite"):
+            monkeypatch.setattr(module, "hermite", refuse)
+    with pytest.raises(AssertionError, match="oracle ran"):
+        face_volume(hull_with_faces([(0, 0), (2, 0), (0, 2)]), Face(2, (0, 1, 2), ()))
+    assert reference_rank([[1, 2, 3], [2, 4, 6], [0, 1, Fraction(1, 2)]]) == 2
+    assert reference_det([[2, 1], [1, 1]]) == 1
+    assert reference_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert [row[i] for i, row in enumerate(reference_snf([[2, 4], [6, 8]])[1])] == [2, 4]
+    assert [volume_by_snf(poly, face) for face in faces] == volumes
+    assert _cofactor_hyperplane([(1, 0, 0), (0, 2, 0), (0, 0, 3)], (0, 0, 0)) == plane
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_point_sets(max_n=5))
+@example([(Fraction(1, 2), 1, 2)])
+@example([(0, 0, 0), (0, 0, 0), (1, 2, 3), (2, 4, 6), (0, 1, 0)])
+def test_affine_basis_is_greedy_and_chart_lifts_hold(pts):
+    diffs = [[x - b for x, b in zip(p, pts[0])] for p in pts]
+    chosen = _affine_basis(pts)
+    assert chosen == [
+        i for i in range(1, len(pts)) if reference_rank(diffs[1 : i + 1]) > reference_rank(diffs[1:i])
+    ]
+    # the chart projects onto the first independent coordinates of the edges
+    columns = list(zip(*(diffs[i] for i in chosen)))
+    coords, lifts = _chart(pts[0], [pts[i] for i in chosen])
+    assert coords == [
+        j for j in range(len(columns)) if reference_rank(columns[: j + 1]) > reference_rank(columns[:j])
+    ]
+    for m, g, g0 in lifts:
+        assert m > 0 and math.gcd(m, *g, g0) == 1
+    for p in pts:
+        y = [p[c] for c in coords]
+        assert all(m * x == _dot(g, y) + g0 for x, (m, g, g0) in zip(p, lifts))
 
 
 def test_lattice_points_of_cube_on_hyperplane():
