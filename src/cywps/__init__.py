@@ -3,7 +3,13 @@ hypersurfaces in weighted projective spaces."""
 
 __version__ = "0.1.0"
 
-from .errors import DomainError, EnumerationLimitError, NotIPError, NotWellFormedError
+from .errors import (
+    DomainError,
+    EnumerationLimitError,
+    InternalError,
+    NotIPError,
+    NotWellFormedError,
+)
 from .euler import (
     EulerReport,
     k3_identity,
@@ -45,6 +51,7 @@ __all__ = [
     "DomainError",
     "EnumerationLimitError",
     "EulerReport",
+    "InternalError",
     "LaurentPolynomial",
     "MirrorLattice",
     "NotIPError",

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 internal inconsistency detected by ``verify``
 (Euler-number methods disagree), 2 usage or parse errors and unwritable
 output paths, 3 domain errors (e.g. ``stringy`` without the IP-property),
-4 enumeration limit exceeded.
+4 enumeration limit exceeded, 5 a failed mathematical invariant
+(``InternalError``: a fault in cywps, never bad input).
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from . import __version__
-from .errors import DomainError, EnumerationLimitError
+from .errors import DomainError, EnumerationLimitError, InternalError
 from .euler import (
     mirror_test,
     stringy_mirror_closed,
@@ -129,11 +131,31 @@ def _cmd_verify(args) -> int:
     return 0 if report.methods_agree else 1
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A new sibling file, renamed over ``path`` when the block succeeds and
+    removed when it fails; a path that cannot take it is a usage error."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: Is a directory")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x", encoding="ascii")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cmd_census(args) -> int:
     # check the arguments, then open the output, then enumerate: a refused
     # census touches no file, and an unwritable path costs no enumeration
     jobs = census_jobs(args.dim, args.filter, args.jobs)
-    with _open_output(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+    with _replacing(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         for line in census_tsv(args.dim, args.max_degree, args.filter, jobs):
             out.write(line + "\n")
     return 0
@@ -207,6 +229,9 @@ def main(argv=None) -> int:
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

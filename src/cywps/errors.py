@@ -15,3 +15,9 @@ class NotIPError(DomainError):
 
 class EnumerationLimitError(RuntimeError):
     """An exact enumeration would exceed the configured memory bound."""
+
+
+class InternalError(RuntimeError):
+    """A mathematical invariant failed: a fault in cywps, not in its input (CLI exit 5).
+
+    Raised, not asserted, so that ``python -O`` keeps the check."""

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, NotIPError
-from .exact import format_rational
+from .exact import clear_denominators, format_rational
 from .polytope import (
     Polytope,
     dual_face,
@@ -30,8 +30,7 @@ from .polytope import (
     face_volume,
     fano_classification,
     normalized_volume,
-    origin,
-    simplex_volume,
+    simplex_index,
 )
 from .quasismooth import has_ip_property, is_transverse
 from .wps import (
@@ -52,7 +51,8 @@ def vafa_double_sum(w: WeightVector) -> Fraction:
     w, so w / lcm(p_i : i in T) of the l in [0, w) are fixed by all of T, and
     Moebius inversion over supersets gives how many l have each exact fixed
     set, in O(n 2^n) steps for any degree.  The w^2 pairs are then summed as
-    products of these counts with cached subset products.
+    products of these counts with the subset products, each an integer over
+    the one denominator prod_i w_i, divided by it and w once at the end.
     """
     ws = w.weights
     deg = w.degree
@@ -67,23 +67,20 @@ def vafa_double_sum(w: WeightVector) -> Fraction:
         for mask in range(1 << n):
             if not mask >> i & 1:
                 counts[mask] -= counts[mask | 1 << i]
-    factors = [Fraction(wi - deg, wi) for wi in ws]
-    prod_cache: dict[int, Fraction] = {0: Fraction(1)}
-
-    def product(mask: int) -> Fraction:
-        got = prod_cache.get(mask)
-        if got is None:
-            low = mask & -mask
-            got = product(mask ^ low) * factors[low.bit_length() - 1]
-            prod_cache[mask] = got
-        return got
-
-    total = Fraction(0)
+    # prod_{i in mask} (1 - w / w_i) times prod_i w_i: w_j divides the
+    # product over mask - {j}, where it is still a factor
+    den = math.prod(ws)
+    product = [den] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        wj = ws[low.bit_length() - 1]
+        product[mask] = product[mask ^ low] // wj * (wj - deg)
+    total = 0
     items = [(mask, count) for mask, count in enumerate(counts) if count]
     for s_mask, s_count in items:
         for t_mask, t_count in items:
-            total += s_count * t_count * product(s_mask & t_mask)
-    return total / deg
+            total += s_count * t_count * product[s_mask & t_mask]
+    return Fraction(total, den * deg)
 
 
 class SubsetSum(NamedTuple):
@@ -116,7 +113,8 @@ def vafa_subset_sum(w: WeightVector) -> SubsetSum:
 
 def stringy_mirror_closed(w: WeightVector) -> Fraction:
     """Stringy Euler number of the compactified mirror hypersurface:
-    (1/w) sum_{|J| >= 2} (-1)^|J| n_Jbar^2 prod_{i in Jbar} (w / w_i).
+    (1/w) sum_{|J| >= 2} (-1)^|J| n_Jbar^2 prod_{i in Jbar} (w / w_i), summed
+    in integers over the denominator prod_i w_i.
 
     Only meaningful for IP weight vectors; anything else is a domain error.
     """
@@ -126,29 +124,29 @@ def stringy_mirror_closed(w: WeightVector) -> Fraction:
     deg = w.degree
     d = w.dim
     full = (1 << (d + 1)) - 1
-    total = Fraction(0)
+    total = 0
     for mask in range(1 << (d + 1)):
         size = mask.bit_count()
         if size < 2:
             continue
-        comp = full ^ mask
-        n_c = subset_gcd(w, comp)
-        term = Fraction(n_c * n_c)
+        n_c = subset_gcd(w, full ^ mask)
+        term = n_c * n_c * deg ** (d + 1 - size)
         for i in range(d + 1):
-            if comp >> i & 1:
-                term *= Fraction(deg, ws[i])
-        if size % 2:
-            term = -term
-        total += term
-    return total / deg
+            if mask >> i & 1:
+                term *= ws[i]
+        total += -term if size % 2 else term
+    return Fraction(total, math.prod(ws) * deg)
 
 
 def stringy_polytope(lattice: MirrorLattice) -> Fraction:
     """Stringy Euler number from the mirror simplex alone:
     sum_{k=1..d} (-1)^(k-1) sum_{dim theta = k} Vol_k(theta) * Vol_{d-k}(pyramid
     over the polar face).  Every face and section is a simplex: the route
-    builds one hull, the mirror simplex, and measures with ``simplex_volume``
-    alone, using no weight, n_J or subset gcd, independently of the closed form.
+    builds one hull, the mirror simplex, clears its polar vertices once by the
+    lcm L of their denominators and measures faces and sections, scaled by L,
+    with ``simplex_index``; as L scales a section's volume by L^(d-k), it sums
+    sign * Vol_k(theta) * index * L^k in integers and divides once by L^d.  It
+    uses no weight, n_J or subset gcd, independently of the closed form.
 
     Requires the bracket of the dual simplex to be canonical Fano, which for a
     weight vector is exactly the IP-property.
@@ -159,16 +157,19 @@ def stringy_polytope(lattice: MirrorLattice) -> Fraction:
             f"bracket of the dual simplex of {w} is not canonical (no IP-property)"
         )
     poly = mirror_simplex(lattice)
-    zero = origin(poly.ambient_dim)
-    polar = [f.polar_vertex() for f in poly.facets]
-    total = Fraction(0)
-    for k in range(1, poly.dim + 1):
+    d = poly.dim
+    lcm, flat = clear_denominators([x for f in poly.facets for x in f.polar_vertex()])
+    polar = [tuple(flat[i : i + d]) for i in range(0, len(flat), d)]
+    zero = (0,) * d
+    total = 0
+    for k in range(1, d + 1):
         sign = 1 if k % 2 else -1
         for face in poly.faces(k):
             # the polar face of a simplex face is a simplex, and so is its pyramid
-            section = simplex_volume([zero, *(polar[j] for j in face.facet_ids)])
-            total += sign * face_volume(poly, face) * section
-    return total
+            volume = simplex_index([poly.vertices[i] for i in face.vertex_ids])
+            section = simplex_index([zero, *(polar[j] for j in face.facet_ids)])
+            total += sign * volume * section * lcm**k
+    return Fraction(total, lcm**d)
 
 
 def stringy_reflexive(delta: Polytope) -> Fraction:

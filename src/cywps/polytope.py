@@ -2,9 +2,10 @@
 
 Integers are the only number type inside the hull, lattice-point and volume
 loops: each clears the denominators of its input once, on entry, and divides
-once on exit.  Hulls are built by incremental beneath-beyond insertion on
-the scaled integer points (simplicial pieces, merged into true facets at the
-end), so there is no epsilon anywhere.  A polytope carries its
+once on exit.  The one hull loop, ``beneath_beyond``, inserts scaled
+integer points and returns simplicial boundary pieces, so there is no epsilon
+anywhere; ``hull_with_faces`` merges them into true facets, and the IP
+certificate of ``quasismooth`` reads them raw.  A polytope carries its
 V-representation, its H-representation {x : <normal, x> >= -offset} with
 primitive integer normals, and a lazily built face lattice graded from the
 vertex-facet incidences alone: the faces one dimension below a face are the
@@ -26,13 +27,13 @@ A facet normal and its offset are the primitive integer kernel vector of the
 rows (p, 1) of its points: the last column of the transform of one
 unimodular column reduction, ``exact.hermite``.  A hull point is a vertex
 when the facets through it meet in it alone.  Normalized volumes
-Vol_k = k! * vol_k have one kernel, ``simplex_volume``: a simplex measures
-the index of its edge lattice in the saturated lattice of its direction span,
-the gcd of the k x k minors of its edge vectors, read as the pivot product of
-the same column reduction in O(k^2 n) steps, and a rational simplex S is
-measured as the lattice simplex lS, by the scaling rule
-Vol_k(S) = Vol_k(lS) / l^k.  A face is the sum of the simplices of its pulling
-triangulation over the face lattice.
+Vol_k = k! * vol_k have one kernel, ``simplex_volume``.  Its integer core
+``simplex_index`` measures a lattice simplex: the index of its edge lattice
+in the saturated lattice of its direction span, the gcd of the k x k minors
+of its edge vectors, read as the pivot product of the same column reduction
+in O(k^2 n) steps.  A rational simplex S is measured as the lattice simplex
+lS, by the scaling rule Vol_k(S) = Vol_k(lS) / l^k.  A face is the sum of
+the simplices of its pulling triangulation over the face lattice.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .exact import (
 
 Point = tuple  # coordinates are int or Fraction
 Chart = tuple[list[int], list[tuple[int, tuple[int, ...], int]]]  # see ``_chart``
+Piece = tuple[frozenset[int], tuple[int, ...], int]  # see ``beneath_beyond``
 
 LATTICE_SCAN_LIMIT = 10_000_000
 
@@ -295,24 +297,15 @@ def _hyperplane(points: Sequence[Point], inside: Point) -> tuple[tuple[int, ...]
     return tuple(normal), offset
 
 
-def _hull_full_dim(
-    pts: list[Point], chosen: list[int]
-) -> list[tuple[tuple[int, ...], Fraction, list[int]]]:
-    """Beneath-beyond hull of points affinely spanning R^k (k >= 1), started
-    from the simplex of points[0] and the points ``chosen`` by ``_affine_basis``.
-
-    The points are scaled once by m = (k + 1) * lcm(denominators), which makes
-    them and the centroid of the start simplex integral, so insertion, merging
-    and vertex identification run on integers; offsets are divided by m on
-    return.  Returns the true facets as (normal, offset, point_ids); point ids
-    refer to ``pts``.
-    """
+def beneath_beyond(pts: list[tuple[int, ...]], start: list[int]) -> list[Piece]:
+    """Beneath-beyond hull of integer points affinely spanning R^k (k >= 1)
+    from the simplex ``start``, whose centroid must be integral: the boundary
+    pieces (point_ids, normal, offset), each a simplex in the halfspace
+    <normal, x> + offset >= 0.  A facet is the union of its pieces."""
     k = len(pts[0])
-    m, pts = _cleared(pts, k + 1)
-    start = [0] + chosen
     centre = tuple(sum(pts[i][j] for i in start) // (k + 1) for j in range(k))
 
-    pieces: dict[int, tuple[frozenset[int], tuple[int, ...], int]] = {}
+    pieces: dict[int, Piece] = {}
     ridge_map: dict[frozenset[int], set[int]] = {}
     next_id = 0
 
@@ -356,9 +349,20 @@ def _hull_full_dim(
             drop_piece(pid)
         for ridge in horizon:
             add_piece(ridge | {i})
+    return list(pieces.values())
 
+
+def _hull_full_dim(
+    pts: list[Point], chosen: list[int]
+) -> list[tuple[tuple[int, ...], Fraction, list[int]]]:
+    """The facets (normal, offset, point_ids) of points affinely spanning R^k
+    (k >= 1): their ``beneath_beyond`` pieces from points[0] and the points
+    ``chosen`` by ``_affine_basis``, merged.  It runs on the points scaled by
+    m = (k + 1) * lcm(denominators), integers with an integral start centroid,
+    and divides the offsets by m on return."""
+    m, pts = _cleared(pts, len(pts[0]) + 1)
     merged: dict[tuple[tuple[int, ...], int], set[int]] = {}
-    for vset, nrm, off in pieces.values():
+    for vset, nrm, off in beneath_beyond(pts, [0, *chosen]):
         merged.setdefault((nrm, off), set()).update(vset)
 
     # a candidate is a vertex when the facets through it meet in it alone,
@@ -539,17 +543,21 @@ def bracket(p: Polytope) -> Polytope:
 # -- volumes ----------------------------------------------------------------------
 
 
+def simplex_index(points: Sequence[tuple[int, ...]]) -> int:
+    """Vol_k of a lattice simplex: the index of its k edges' lattice in the
+    saturated lattice of their span, the gcd of their k x k minors, read as
+    |prod h_ii| of their ``hermite``; affinely dependent points measure 0."""
+    base, *rest = points
+    h = hermite([[x - b for x, b in zip(v, base)] for v in rest])[0]
+    return abs(math.prod(row[i] if i < len(row) else 0 for i, row in enumerate(h)))
+
+
 def simplex_volume(points: Sequence[Point]) -> Fraction:
     """Normalized volume Vol_k of conv(points), k = len(points) - 1, relative
-    to span(edges) intersect Z^n; a single point measures 1.  Cleared by the
-    lcm l of their denominators, the k edge vectors span a sublattice of the
-    saturated lattice of their span, of index the gcd of their k x k minors;
-    that gcd is |prod h_ii| of their column reduction ``hermite``, and
-    Vol_k = index / l^k.  Affinely dependent points measure 0."""
-    scale, (base, *rest) = _cleared(points, 1)
-    h = hermite([[x - b for x, b in zip(v, base)] for v in rest])[0]
-    index = math.prod(row[i] if i < len(row) else 0 for i, row in enumerate(h))
-    return Fraction(abs(index), scale ** len(h))
+    to span(edges) intersect Z^n: ``simplex_index`` of l * points / l^k, l the
+    lcm of their denominators; a single point measures 1."""
+    scale, cleared = _cleared(points, 1)
+    return Fraction(simplex_index(cleared), scale ** (len(points) - 1))
 
 
 def face_volume(p: Polytope, face: Face) -> Fraction:
@@ -600,7 +608,7 @@ def normal_cone_section(p: Polytope, face: Face) -> Polytope:
     """The pyramid over the polar face: conv({0} + vertices of face*), of
     dimension d - k; for the top face this is the single point {0}.  This
     general construction builds a hull; on a simplex the section is a simplex,
-    which ``stringy_polytope`` measures directly with ``simplex_volume``."""
+    which ``stringy_polytope`` measures directly with ``simplex_index``."""
     if not p.origin_interior():
         raise DomainError("normal cone section requires the origin strictly interior")
     zero = origin(p.ambient_dim)

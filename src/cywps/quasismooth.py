@@ -51,8 +51,9 @@ from functools import lru_cache
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Sequence
 
-from .exact import format_rational, hermite
-from .polytope import hull_with_faces
+from .errors import InternalError
+from .exact import format_rational, hermite, pivot_rows
+from .polytope import beneath_beyond
 from .wps import WeightVector, weight_flags
 
 _FILTERS = ("transverse", "ip", "all")
@@ -123,7 +124,8 @@ def _knapsack_argmax(ws: Sequence[int], deg: int, direction: Sequence[int]):
         best[t] = b
         take[t] = pick
     value = best[deg]
-    assert value is not None, "degree w is always reachable (the all-ones monomial)"
+    if value is None:
+        raise InternalError("degree w is always reachable (the all-ones monomial)")
     u = [0] * len(ws)
     t = deg
     while t:
@@ -143,7 +145,9 @@ def has_ip_property(w: WeightVector) -> bool:
     growing certificate subset of Newton points: the support of the Newton
     polytope along any direction is an integer knapsack maximum, so a
     direction with support 0 after shifting certifies a boundary point, while
-    a certificate hull with the shifted point strictly inside certifies IP.
+    a certificate hull with the shifted point strictly inside certifies IP:
+    the raw pieces of ``beneath_beyond``, no ``Polytope``, all of positive
+    offset; else the next direction is minus the normal of the least piece.
     Along the 2d coordinate axes the supports, the extreme exponents of each
     z_i, and a monomial attaining each are read off the reachability bitsets
     of the pre-check; the knapsack runs only along the other directions.
@@ -198,7 +202,8 @@ def has_ip_property(w: WeightVector) -> bool:
         top = deg // ws[i]
         while not without >> (deg - top * ws[i]) & 1:
             top -= 1
-        assert top >= 1, "the shifted origin lies in the polytope"
+        if top < 1:
+            raise InternalError("the shifted origin lies in the polytope")
         if top == 1:
             return False
         for a in (top, 0):
@@ -218,13 +223,15 @@ def has_ip_property(w: WeightVector) -> bool:
                 return False
             add(p)
 
-    zero = (0,) * d
+    # hull 0 and the points from 0 and the pivot rows, scaled by d + 1 so
+    # that the centroid of that simplex is integral
+    start = [0, *(r + 1 for r in pivot_rows(reduced))]
     while True:
-        cert = hull_with_faces(points + [zero])
-        worst = min(cert.facets, key=lambda f: (f.offset, f.normal))
-        if worst.offset > 0:
+        scaled = [tuple((d + 1) * x for x in p) for p in [(0,) * d, *points]]
+        _, normal, offset = min(beneath_beyond(scaled, start), key=lambda pc: (pc[2], pc[1]))
+        if offset > 0:
             return True
-        h, p = support(tuple(-x for x in worst.normal))
+        h, p = support(tuple(-x for x in normal))
         if h == 0:
             return False
         add(p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import EnumerationLimitError, NotWellFormedError
+from .errors import EnumerationLimitError, InternalError, NotWellFormedError
 from .exact import gcd_fold, hermite
 from .polytope import Polytope, hull_with_faces
 
@@ -153,15 +153,12 @@ def mirror_lattice(w: WeightVector) -> MirrorLattice:
     d = w.dim
     _, t, tinv = hermite([ws], transform=True, inverse=True)
     gens = tuple(tuple(r[1:]) for r in t)
-    assert all(
-        gcd_fold(0, (abs(x) for x in g)) == 1 for g in gens
-    ), "well-formed weights must give primitive generators"
-    assert all(
-        sum(wi * g[j] for wi, g in zip(ws, gens)) == 0 for j in range(d)
-    ), "generators must satisfy the weight relation"
-    assert all(
-        abs(row[i]) == 1 for i, row in enumerate(hermite([list(c) for c in zip(*gens)])[0])
-    ), "generators must span the full lattice"
+    if not all(gcd_fold(0, (abs(x) for x in g)) == 1 for g in gens):
+        raise InternalError("well-formed weights must give primitive generators")
+    if any(sum(wi * g[j] for wi, g in zip(ws, gens)) for j in range(d)):
+        raise InternalError("generators must satisfy the weight relation")
+    if any(abs(row[i]) != 1 for i, row in enumerate(hermite([list(c) for c in zip(*gens)])[0])):
+        raise InternalError("generators must span the full lattice")
     return MirrorLattice(ws, gens, tuple(tuple(r) for r in tinv[1:]))
 
 
@@ -185,7 +182,8 @@ def dual_simplex(w: WeightVector, lattice: MirrorLattice) -> Polytope:
     poly = hull_with_faces(verts)
     got = {(f.normal, f.offset) for f in poly.facets}
     want = {(g, 1) for g in lattice.generators}
-    assert got == want, "dual simplex facets must pair to -1 against the generators"
+    if got != want:
+        raise InternalError("dual simplex facets must pair to -1 against the generators")
     return poly
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cywps.quasismooth import has_ip_property, iter_weight_partitions
-from cywps.wps import WeightVector, weight_flags
+from cywps.wps import WeightVector, subset_gcd, weight_flags
 
 IP_POOL_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "ip_pool.json")
 NONTRANSVERSE_IP_PATH = os.path.join(os.path.dirname(__file__), "data", "nontransverse_ip.json")
@@ -60,6 +61,22 @@ def random_well_formed(rng: random.Random, dim: int, max_degree: int) -> WeightV
         w = WeightVector(ws)
         if weight_flags(w)[0]:
             return w
+
+
+def fake_mirror_generators(monkeypatch, gens):
+    """Make ``mirror_lattice`` read the generators ``gens`` off its column
+    reduction of the weight row, to drive its invariant checks."""
+    from cywps import wps
+
+    real = wps.hermite
+
+    def fake(rows, transform=False, inverse=False):
+        h, t, tinv = real(rows, transform, inverse)
+        if transform:
+            t = [[row[0], *g] for row, g in zip(t, gens)]
+        return h, t, tinv
+
+    monkeypatch.setattr(wps, "hermite", fake)
 
 
 @pytest.fixture(scope="session")
@@ -195,3 +212,62 @@ def reference_snf(rows):
                 break
             add_row(t, offender, 1)
     return u, s, v
+
+
+def reference_vafa_double_sum(w):
+    """The double sum as ``euler.vafa_double_sum`` computed it before it summed
+    integers: the same fixed-set counts, with Fraction subset products."""
+    ws = w.weights
+    deg = w.degree
+    n = len(ws)
+    periods = [deg // math.gcd(deg, wi) for wi in ws]
+    lcms = [1] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        lcms[mask] = math.lcm(lcms[mask ^ low], periods[low.bit_length() - 1])
+    counts = [deg // m for m in lcms]
+    for i in range(n):
+        for mask in range(1 << n):
+            if not mask >> i & 1:
+                counts[mask] -= counts[mask | 1 << i]
+    factors = [Fraction(wi - deg, wi) for wi in ws]
+    prod_cache = {0: Fraction(1)}
+
+    def product(mask):
+        got = prod_cache.get(mask)
+        if got is None:
+            low = mask & -mask
+            got = product(mask ^ low) * factors[low.bit_length() - 1]
+            prod_cache[mask] = got
+        return got
+
+    total = Fraction(0)
+    items = [(mask, count) for mask, count in enumerate(counts) if count]
+    for s_mask, s_count in items:
+        for t_mask, t_count in items:
+            total += s_count * t_count * product(s_mask & t_mask)
+    return total / deg
+
+
+def reference_stringy_mirror_closed(w):
+    """The closed form as ``euler.stringy_mirror_closed`` computed it before it
+    summed integers, term by term in Fractions, with no IP check."""
+    ws = w.weights
+    deg = w.degree
+    d = w.dim
+    full = (1 << (d + 1)) - 1
+    total = Fraction(0)
+    for mask in range(1 << (d + 1)):
+        size = mask.bit_count()
+        if size < 2:
+            continue
+        comp = full ^ mask
+        n_c = subset_gcd(w, comp)
+        term = Fraction(n_c * n_c)
+        for i in range(d + 1):
+            if comp >> i & 1:
+                term *= Fraction(deg, ws[i])
+        if size % 2:
+            term = -term
+        total += term
+    return total / deg

@@ -5,6 +5,7 @@ import pytest
 
 from cywps import cli
 from cywps.cli import main
+from conftest import fake_mirror_generators
 
 
 def run(capsys, *argv):
@@ -114,11 +115,13 @@ def test_census_jobs_from_environment(capsys, monkeypatch):
 
 def test_census_out_file(tmp_path, capsys):
     path = tmp_path / "census.tsv"
-    code, out, _ = run(capsys, "census", "--dim", "2", "--max-degree", "20",
-                       "--filter", "all", "--out", str(path))
-    assert code == 0
-    assert out == ""
-    assert path.read_text().startswith("# dim=2")
+    for _ in range(2):  # writes a new file, then replaces it
+        code, out, _ = run(capsys, "census", "--dim", "2", "--max-degree", "20",
+                           "--filter", "all", "--out", str(path))
+        assert code == 0
+        assert out == ""
+        assert path.read_text().startswith("# dim=2")
+        assert [p.name for p in tmp_path.iterdir()] == ["census.tsv"]  # no temporary file left
 
 
 @pytest.mark.parametrize(
@@ -166,10 +169,29 @@ def test_unwritable_census_output_is_refused_before_enumeration(tmp_path, capsys
         raise AssertionError("the census ran before its output was opened")
 
     monkeypatch.setattr(qs, "_census_degree", fail)
-    code, out, err = run(capsys, "census", "--dim", "3", "--max-degree", "12",
-                         "--out", str(tmp_path / "missing" / "x"))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: cannot write")
+    for target in (tmp_path / "missing" / "x", tmp_path):  # a missing directory, a directory
+        code, out, err = run(capsys, "census", "--dim", "3", "--max-degree", "12",
+                             "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_census_keeps_previous_output(tmp_path, capsys, monkeypatch):
+    import cywps.quasismooth as qs
+
+    path = tmp_path / "keep.tsv"
+    run(capsys, "census", "--dim", "2", "--max-degree", "20", "--out", str(path))
+    before = path.read_bytes()
+
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(qs, "_census_degree", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["census", "--dim", "2", "--max-degree", "30", "--out", str(path)])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.tsv"]
 
 
 def test_exit_code_parse_error(capsys):
@@ -226,6 +248,15 @@ def test_exit_code_enumeration_limit(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "1,1,2,4,5")
     assert (code, out) == (4, "")
     assert err.startswith("error:") and "limit" in err
+
+
+def test_exit_code_internal_error(capsys, monkeypatch):
+    # (1,1,2) is IP, so verify builds its mirror lattice; a non-primitive
+    # generator is a fault of the code, not of the input
+    fake_mirror_generators(monkeypatch, ((0, 2), (1, 0), (-1, -1)))
+    code, out, err = run(capsys, "verify", "1,1,2")
+    assert (code, out) == (5, "")
+    assert err.startswith("internal error:") and "primitive" in err
 
 
 def test_verify_dump_polytope(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cywps import euler, polytope, quasismooth, wps
+from cywps import euler, polytope, quasismooth
 from cywps.errors import DomainError, NotIPError
 from cywps.euler import (
     k3_identity,
@@ -21,7 +21,14 @@ from cywps.exact import format_rational
 from cywps.polytope import dual_polytope, fano_classification, hull_with_faces
 from cywps.quasismooth import census, has_ip_property, is_transverse
 from cywps.wps import WeightVector, mirror_lattice, mirror_simplex, newton_hull, weight_flags
-from conftest import ip_pool, nontransverse_ip, random_well_formed, small_ip_vectors
+from conftest import (
+    ip_pool,
+    nontransverse_ip,
+    random_well_formed,
+    reference_stringy_mirror_closed,
+    reference_vafa_double_sum,
+    small_ip_vectors,
+)
 
 
 def vafa_literal(w: WeightVector) -> Fraction:
@@ -91,6 +98,28 @@ def test_double_equals_subset_random(data):
     assert vafa_double_sum(w) == vafa_subset_sum(w).value
 
 
+# d = 2..6, weights up to 10^6, the first k of them times a shared factor,
+# so non-well-formed vectors and degrees of 10^6 and more are both common
+_sum_vectors = st.tuples(
+    st.lists(st.integers(1, 10**6), min_size=3, max_size=7), st.integers(1, 12), st.integers(0, 7)
+).map(lambda t: WeightVector(tuple(x * t[1] if i < t[2] else x for i, x in enumerate(t[0]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sum_vectors)
+@example(WeightVector((1, 1, 1, 1, 10**7)))
+@example(WeightVector((2, 2, 4, 6)))  # not well-formed
+@example(WeightVector((2, 4 * 10**5, 6 * 10**5, 10**6, 3)))  # not well-formed, degree > 10^6
+@example(WeightVector((1, 1, 2, 4, 5)))
+def test_integer_sums_match_fraction_oracles(w):
+    assert vafa_double_sum(w) == reference_vafa_double_sum(w)
+    with pytest.MonkeyPatch.context() as mp:
+        # the closed form is a formula in the weights; its IP gate is tested
+        # in test_stringy_closed_examples
+        mp.setattr(euler, "has_ip_property", lambda _: True)
+        assert stringy_mirror_closed(w) == reference_stringy_mirror_closed(w)
+
+
 def test_stringy_closed_examples():
     assert stringy_mirror_closed(WeightVector((1, 1, 6, 14, 21))) == 506
     assert stringy_mirror_closed(WeightVector((1, 1, 2, 4, 5))) == Fraction(1032, 5)
@@ -106,17 +135,20 @@ def test_stringy_polytope_examples():
 
 
 def test_stringy_polytope_builds_one_hull(monkeypatch):
+    # beneath_beyond is the one hull loop: hull_with_faces and the IP
+    # certificate both run on it
     calls = []
+    real = polytope.beneath_beyond
 
-    def spy(points):
+    def spy(points, start):
         calls.append(points)
-        return hull_with_faces(points)
+        return real(points, start)
 
-    for module in (polytope, quasismooth, wps):
-        monkeypatch.setattr(module, "hull_with_faces", spy)
+    for module in (polytope, quasismooth):
+        monkeypatch.setattr(module, "beneath_beyond", spy)
     for ws, chi in (((1, 1, 2), 0), ((1, 1, 1, 1), 24), ((1, 2, 3, 4, 5), 126)):
         w = WeightVector(ws)
-        has_ip_property(w)  # the IP test builds certificate hulls of its own
+        has_ip_property(w)  # the IP test runs certificate hulls of its own
         lattice = mirror_lattice(w)
         calls.clear()
         assert stringy_polytope(lattice) == chi

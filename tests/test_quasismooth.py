@@ -1,10 +1,13 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cywps import polytope
+from cywps.errors import InternalError
 from cywps.polytope import hull_with_faces
 from cywps.quasismooth import (
     CensusRecord,
@@ -72,6 +75,48 @@ _ip_weights = st.sampled_from(((2, 14), (3, 12), (4, 9))).flatmap(
 def test_ip_against_full_hull_random(weights):
     w = WeightVector(tuple(weights))
     assert has_ip_property(w) == ip_by_full_hull(w)
+
+
+def test_ip_certificate_builds_no_polytope(monkeypatch):
+    # the examples of test_ip_against_full_hull_random, the showcase and a
+    # seeded draw from the same weight ranges
+    rng = random.Random(16)
+    cases = [(2, 3, 3, 7), (3, 3, 4, 8), (1, 5, 8, 10), (1, 1, 1, 4, 4), (1, 5, 5, 7, 7),
+             (1, 1, 1, 4, 5), (5, 1, 7, 5, 7), (1, 2, 3, 4, 5), (1, 1, 1, 1, 1),
+             (1, 1, 6, 14, 21), (1, 1, 2, 4, 5)]
+    for _ in range(40):
+        d, top = rng.choice(((2, 14), (3, 12), (4, 9)))
+        cases.append(tuple(rng.randint(1, top) for _ in range(d + 1)))
+    want = {ws: ip_by_full_hull(WeightVector(ws)) for ws in cases}
+    assert any(want.values()) and not all(want.values())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the IP certificate built a Polytope")
+
+    monkeypatch.setattr(polytope, "hull_with_faces", refuse)
+    monkeypatch.setattr(polytope.Polytope, "__init__", refuse)
+    for ws, ip in want.items():
+        assert has_ip_property.__wrapped__(WeightVector(ws)) == ip, ws
+
+
+def test_knapsack_unreachable_degree_is_an_internal_error():
+    # no combination of 2 and 4 makes 3; every degree-w knapsack has the
+    # all-ones monomial
+    with pytest.raises(InternalError, match="reachable"):
+        _knapsack_argmax((2, 4), 3, (0, 0))
+
+
+def test_ip_axis_support_fault_is_an_internal_error(monkeypatch):
+    import cywps.quasismooth as qs
+
+    def only_degree(weights, degree, mask, memo):
+        # every mask reaches the degree and no smaller value, not even 0
+        memo[mask] = 1 << degree
+        return memo[mask]
+
+    monkeypatch.setattr(qs, "_reachable", only_degree)
+    with pytest.raises(InternalError, match="shifted origin"):
+        has_ip_property.__wrapped__(WeightVector((1, 1, 1, 1, 1)))
 
 
 def test_ip_axis_supports_refute_without_knapsack(monkeypatch):

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cywps.errors import NotWellFormedError
+from cywps.errors import InternalError, NotWellFormedError
 from cywps.polytope import hull_with_faces, lattice_points
 from cywps.wps import (
     WeightVector,
@@ -16,7 +17,7 @@ from cywps.wps import (
     subset_gcd,
     weight_flags,
 )
-from conftest import random_well_formed, reference_det
+from conftest import fake_mirror_generators, random_well_formed, reference_det
 
 
 def test_parse():
@@ -80,6 +81,29 @@ def test_mirror_lattice_112():
 def test_mirror_lattice_rejects_non_well_formed():
     with pytest.raises(NotWellFormedError):
         mirror_lattice(WeightVector((2, 2, 3)))
+
+
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        (((0, 2), (1, 0), (-1, -1)), "primitive"),
+        (((1, 0), (0, 1), (1, 1)), "weight relation"),
+        # primitive, and (-3, -1) + (1, -1) + 2 (1, 1) = 0, but of index 2
+        (((-3, -1), (1, -1), (1, 1)), "full lattice"),
+    ],
+)
+def test_mirror_lattice_faults_are_internal_errors(monkeypatch, gens, message):
+    fake_mirror_generators(monkeypatch, gens)
+    with pytest.raises(InternalError, match=message):
+        mirror_lattice(WeightVector((1, 1, 2)))
+
+
+def test_dual_simplex_pairing_fault_is_an_internal_error():
+    w = WeightVector((1, 2, 3, 4, 5))
+    lattice = mirror_lattice(w)
+    negated = tuple(tuple(-x for x in g) for g in lattice.generators)
+    with pytest.raises(InternalError, match="pair to -1"):
+        dual_simplex(w, dataclasses.replace(lattice, generators=negated))
 
 
 def test_quintic_simplex_volume_by_determinant():
