@@ -109,20 +109,12 @@ def _cmd_mirror(args) -> int:
     return 0
 
 
-def _open_output(path):
-    """Open an output path for writing; a path that cannot be opened is a usage error."""
-    try:
-        return open(path, "w", encoding="ascii")
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
-
-
 def _cmd_verify(args) -> int:
     w = WeightVector.parse(args.weights)
     report = mirror_test(w)
     if args.dump_polytope:
         simplex = mirror_simplex(mirror_lattice(w))
-        with _open_output(args.dump_polytope) as fh:
+        with _replacing(args.dump_polytope) as fh:
             fh.write(simplex.dump())
     if args.format == "json":
         print(report.to_json())

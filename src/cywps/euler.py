@@ -19,10 +19,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import DomainError, NotIPError
-from .exact import clear_denominators, format_rational
+from .exact import format_rational
 from .polytope import (
     Polytope,
     dual_face,
@@ -37,8 +38,8 @@ from .wps import (
     MirrorLattice,
     WeightVector,
     mirror_lattice,
-    mirror_simplex,
     newton_hull,
+    polar_vertices,
     subset_gcd,
     weight_flags,
 )
@@ -141,12 +142,12 @@ def stringy_mirror_closed(w: WeightVector) -> Fraction:
 def stringy_polytope(lattice: MirrorLattice) -> Fraction:
     """Stringy Euler number from the mirror simplex alone:
     sum_{k=1..d} (-1)^(k-1) sum_{dim theta = k} Vol_k(theta) * Vol_{d-k}(pyramid
-    over the polar face).  Every face and section is a simplex: the route
-    builds one hull, the mirror simplex, clears its polar vertices once by the
-    lcm L of their denominators and measures faces and sections, scaled by L,
-    with ``simplex_index``; as L scales a section's volume by L^(d-k), it sums
-    sign * Vol_k(theta) * index * L^k in integers and divides once by L^d.  It
-    uses no weight, n_J or subset gcd, independently of the closed form.
+    over the polar face).  A face conv(v_j : j in S) of a simplex has the polar
+    face conv(m_i : i not in S), so no polytope is built: the ``polar_vertices``
+    are cleared once by the lcm L of their denominators and, as L scales a
+    section's volume by L^(d-k), sign * Vol_k(theta) * simplex_index(L * section)
+    * L^k is summed in integers and divided once by L^d.  The weights enter only
+    through the pairing-checked polar vertices: no n_J or subset gcd.
 
     Requires the bracket of the dual simplex to be canonical Fano, which for a
     weight vector is exactly the IP-property.
@@ -156,18 +157,18 @@ def stringy_polytope(lattice: MirrorLattice) -> Fraction:
         raise NotIPError(
             f"bracket of the dual simplex of {w} is not canonical (no IP-property)"
         )
-    poly = mirror_simplex(lattice)
-    d = poly.dim
-    lcm, flat = clear_denominators([x for f in poly.facets for x in f.polar_vertex()])
-    polar = [tuple(flat[i : i + d]) for i in range(0, len(flat), d)]
+    d = lattice.dim
+    scaled = list(zip(polar_vertices(w, lattice), w.weights))  # (w_i * m_i, w_i)
+    lcm = math.lcm(*(wi // math.gcd(wi, *wm) for wm, wi in scaled))
+    polar = [tuple(x * lcm // wi for x in wm) for wm, wi in scaled]
     zero = (0,) * d
     total = 0
     for k in range(1, d + 1):
         sign = 1 if k % 2 else -1
-        for face in poly.faces(k):
-            # the polar face of a simplex face is a simplex, and so is its pyramid
-            volume = simplex_index([poly.vertices[i] for i in face.vertex_ids])
-            section = simplex_index([zero, *(polar[j] for j in face.facet_ids)])
+        for face in combinations(range(d + 1), k + 1):
+            # the pyramid over the polar face of a simplex face is a simplex
+            volume = simplex_index([lattice.generators[j] for j in face])
+            section = simplex_index([zero, *(p for i, p in enumerate(polar) if i not in face)])
             total += sign * volume * section * lcm**k
     return Fraction(total, lcm**d)
 

@@ -5,11 +5,13 @@ loops: each clears the denominators of its input once, on entry, and divides
 once on exit.  The one hull loop, ``beneath_beyond``, inserts scaled
 integer points and returns simplicial boundary pieces, so there is no epsilon
 anywhere; ``hull_with_faces`` merges them into true facets, and the IP
-certificate of ``quasismooth`` reads them raw.  A polytope carries its
-V-representation, its H-representation {x : <normal, x> >= -offset} with
-primitive integer normals, and a lazily built face lattice graded from the
-vertex-facet incidences alone: the faces one dimension below a face are the
-inclusion-maximal nonempty proper meets of it with the facets.
+certificate of ``quasismooth`` reads them raw.  The mirror simplex and its
+dual are not hulled: ``wps`` builds both, vertices and facets, from the
+lattice pairing, and the hull is only their test oracle.  A polytope carries
+its V-representation, its H-representation {x : <normal, x> >= -offset}
+with primitive integer normals, and a lazily built face lattice graded from
+the vertex-facet incidences alone: the faces one dimension below a face are
+the inclusion-maximal nonempty proper meets of it with the facets.
 
 A lower-dimensional polytope is hulled as its projection onto the
 coordinates its affine hull projects onto one-to-one, so the hull sees the
@@ -17,11 +19,10 @@ input's own numbers; its chart keeps, per ambient coordinate, the integer
 affine form that lifts a projected point back.  There is no rational
 elimination: ``_affine_basis`` (once per hull, for its dimension and start
 simplex) and ``_chart`` read pivot rows and kernel vectors of the integer
-column reduction ``exact.hermite`` on cleared points.
-
-Lattice points come from one pruned bounding-box scan for every polytope,
-the dual simplex of a weight vector included; its lattice points are also the
-degree-w monomials that ``wps.newton_points`` lists.
+column reduction ``exact.hermite`` on cleared points.  Lattice points come
+from one pruned bounding-box scan for every polytope, the dual simplex of a
+weight vector included; its lattice points are also the degree-w monomials
+that ``wps.newton_points`` lists.
 
 A facet normal and its offset are the primitive integer kernel vector of the
 rows (p, 1) of its points: the last column of the transform of one
@@ -607,8 +608,8 @@ def fano_classification(p: Polytope) -> FanoFlags:
 def normal_cone_section(p: Polytope, face: Face) -> Polytope:
     """The pyramid over the polar face: conv({0} + vertices of face*), of
     dimension d - k; for the top face this is the single point {0}.  This
-    general construction builds a hull; on a simplex the section is a simplex,
-    which ``stringy_polytope`` measures directly with ``simplex_index``."""
+    general construction builds a hull; it is the test oracle of
+    ``stringy_polytope``, which measures conv(0, polar vertices off the face)."""
     if not p.origin_interior():
         raise DomainError("normal cone section requires the origin strictly interior")
     zero = origin(p.ambient_dim)

@@ -414,13 +414,15 @@ def census(
     the filter, in lexicographic order of the weight tuple.
 
     The result is deterministic for any worker count: degrees are processed
-    independently and merged by sorting.
+    independently and merged by sorting.  At most min(jobs, degrees, CPUs)
+    worker processes start.
     """
     jobs = census_jobs(dim, flt, jobs)
     # expensive degrees first, so workers stay balanced
     tasks = [(dim, n, flt) for n in range(max_degree, dim, -1)]
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             chunks = pool.map(_census_degree, tasks, chunksize=4)
     else:
         chunks = [_census_degree(t) for t in tasks]

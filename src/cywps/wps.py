@@ -15,10 +15,11 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import EnumerationLimitError, InternalError, NotWellFormedError
-from .exact import gcd_fold, hermite
-from .polytope import Polytope, hull_with_faces
+from .exact import as_exact, gcd_fold, hermite
+from .polytope import Facet, Polytope, dual_polytope, hull_with_faces
 
 NEWTON_POINT_LIMIT = 10_000_000
+WEIGHT_COUNT_LIMIT = 16  # every Euler route and the transversality test run 2^(d+1) subsets
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,8 @@ class WeightVector:
             raise ValueError("need at least three weights (d >= 2)")
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be positive")
+        if len(self.weights) > WEIGHT_COUNT_LIMIT:
+            raise EnumerationLimitError(f"more than {WEIGHT_COUNT_LIMIT} weights exceed the limit")
 
     @classmethod
     def parse(cls, text: str) -> "WeightVector":
@@ -162,29 +165,35 @@ def mirror_lattice(w: WeightVector) -> MirrorLattice:
     return MirrorLattice(ws, gens, tuple(tuple(r) for r in tinv[1:]))
 
 
+def polar_vertices(w: WeightVector, lattice: MirrorLattice) -> list[tuple[int, ...]]:
+    """w_i * m_i in generator order, m_i the image of (w/w_i) e_i - (1, ..., 1):
+    the vertices of the dual simplex, scaled to integers.  Pairing w_i * m_i
+    with v_j reads off w * [i = j] - w_i, checked in integers, so m_i lies on
+    the facet <., v_j> = -1 of every j != i and strictly inside that of i."""
+    out = []
+    for i, wi in enumerate(w.weights):
+        u = [w.degree - wi if j == i else -wi for j in range(len(w.weights))]
+        out.append(lattice.m_coords(u))
+        if any(sum(a * b for a, b in zip(out[-1], g)) != x for g, x in zip(lattice.generators, u)):
+            raise InternalError("dual simplex facets must pair to -1 against the generators")
+    return out
+
+
 def mirror_simplex(lattice: MirrorLattice) -> Polytope:
-    """conv(v_0, ..., v_d): the Newton polytope of the mirror family."""
-    return hull_with_faces(lattice.generators)
+    """conv(v_0, ..., v_d), the mirror Newton polytope: the polar dual of ``dual_simplex``."""
+    return dual_polytope(dual_simplex(WeightVector(lattice.weights), lattice))
 
 
 def dual_simplex(w: WeightVector, lattice: MirrorLattice) -> Polytope:
-    """The rational simplex dual to the mirror simplex at level -1.
-
-    Its vertices are the images of (w/w_i) e_i - (1, ..., 1) and its
-    H-representation is exactly <., v_i> >= -1.
-    """
-    deg = w.degree
-    verts = []
-    for i, wi in enumerate(w.weights):
-        u = [Fraction(-1)] * len(w.weights)
-        u[i] += Fraction(deg, wi)
-        verts.append(lattice.m_coords(u))
-    poly = hull_with_faces(verts)
-    got = {(f.normal, f.offset) for f in poly.facets}
-    want = {(g, 1) for g in lattice.generators}
-    if got != want:
-        raise InternalError("dual simplex facets must pair to -1 against the generators")
-    return poly
+    """The rational simplex dual to the mirror simplex at level -1, built from
+    the lattice pairing: its vertices are the m_i of ``polar_vertices`` and
+    its facets are <., v_i> >= -1, the one of v_i through every m_j, j != i
+    (Batyrev, "Dual polyhedra and mirror symmetry", 1994)."""
+    scaled = zip(polar_vertices(w, lattice), w.weights)
+    verts = [tuple(as_exact(Fraction(x, wi)) for x in wm) for wm, wi in scaled]
+    gens = lattice.generators
+    facets = [Facet(g, 1, tuple(j for j in range(len(gens)) if j != i)) for i, g in enumerate(gens)]
+    return Polytope(w.dim, w.dim, verts, facets)
 
 
 def newton_hull(w: WeightVector, lattice: MirrorLattice) -> Polytope:

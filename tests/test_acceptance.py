@@ -197,6 +197,18 @@ def test_c06_mirror_theorem_suite(ip_sample_d4):
     print(f"C6 verified mirror theorem on {len(low_dim)} low-dim + {len(ip_sample_d4)} d=4 vectors")
 
 
+def test_c06_mirror_theorem_d4_census(d4_census):
+    # opt-in: the theorem on every C9 record, all four routes agreeing
+    with Budget("C6 on C9", 1800.0):
+        for rec in d4_census:
+            w = WeightVector(rec.weights)
+            closed = stringy_mirror_closed(w)
+            assert closed.denominator == 1, w
+            assert closed == -vafa_double_sum(w) == -rec.chi_orb_formula, w  # (-1)^(d-1), d = 4
+            assert closed == stringy_polytope(mirror_lattice(w)), w
+    print(f"C6 extended: the mirror theorem holds on all {len(d4_census)} d=4 records")
+
+
 def test_c07_k3_suite(k3_weight_vectors):
     with Budget("C7", 120.0):
         assert len(k3_weight_vectors) == 95

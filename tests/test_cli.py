@@ -1,4 +1,5 @@
 import json
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -105,12 +106,42 @@ def test_census_jobs_from_environment(capsys, monkeypatch):
 
     real_pool = qs.Pool
     monkeypatch.setattr(qs, "Pool", spy_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the worker cap must not bind here
     argv = ("census", "--dim", "2", "--max-degree", "30", "--filter", "all")
     _, serial, _ = run(capsys, *argv, "--jobs", "1")
     monkeypatch.setenv("CYWPS_JOBS", "2")
     _, from_env, _ = run(capsys, *argv)
     assert from_env == serial
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("cpus, sizes", [(8, [8]), (64, [28]), (None, [])])
+def test_census_workers_are_bounded(capsys, monkeypatch, cpus, sizes):
+    # min(jobs, degrees, CPUs) workers; the fake pool starts no process
+    import cywps.quasismooth as qs
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(qs, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = ("census", "--dim", "2", "--max-degree", "30", "--filter", "all")  # 28 degrees
+    _, serial, _ = run(capsys, *argv, "--jobs", "1")
+    code, many, _ = run(capsys, *argv, "--jobs", "1000")
+    assert (code, many) == (0, serial)
+    assert asked == sizes
 
 
 def test_census_out_file(tmp_path, capsys):
@@ -264,6 +295,44 @@ def test_verify_dump_polytope(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "1,1,1", "--dump-polytope", str(path))
     assert code == 0
     assert path.read_text().splitlines() == ["-1 -1", "0 1", "1 0"]
+
+
+def test_failed_dump_keeps_previous_file(tmp_path, capsys, monkeypatch):
+    from cywps.errors import InternalError
+    from cywps.polytope import Polytope
+
+    path = tmp_path / "simplex.txt"
+    path.write_bytes(b"kept\n")
+
+    def fail(self):
+        raise InternalError("dump failed")
+
+    monkeypatch.setattr(Polytope, "dump", fail)  # raises after the file is opened
+    code, out, err = run(capsys, "verify", "1,1,1", "--dump-polytope", str(path))
+    assert (code, out) == (5, "")
+    assert "dump failed" in err
+    assert path.read_bytes() == b"kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["simplex.txt"]  # no temporary file left
+
+
+def test_dump_polytope_to_a_directory_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "verify", "1,1,1", "--dump-polytope", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["euler", "check", "verify"])
+def test_too_many_weights_exit_4_before_any_table(capsys, monkeypatch, command):
+    def fail(*args):
+        raise AssertionError("a table was built")
+
+    for name in ("vafa_double_sum", "vafa_subset_sum", "has_ip_property", "is_transverse",
+                 "mirror_test", "weight_flags"):
+        monkeypatch.setattr(cli, name, fail)
+    code, out, err = run(capsys, command, ",".join(["1"] * 17))
+    assert (code, out) == (4, "")
+    assert err.startswith("error:") and "limit" in err
 
 
 @pytest.mark.parametrize(

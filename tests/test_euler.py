@@ -20,7 +20,14 @@ from cywps.euler import (
 from cywps.exact import format_rational
 from cywps.polytope import dual_polytope, fano_classification, hull_with_faces
 from cywps.quasismooth import census, has_ip_property, is_transverse
-from cywps.wps import WeightVector, mirror_lattice, mirror_simplex, newton_hull, weight_flags
+from cywps.wps import (
+    WeightVector,
+    dual_simplex,
+    mirror_lattice,
+    mirror_simplex,
+    newton_hull,
+    weight_flags,
+)
 from conftest import (
     ip_pool,
     nontransverse_ip,
@@ -134,25 +141,34 @@ def test_stringy_polytope_examples():
     assert stringy_polytope(mirror_lattice(WeightVector((1, 1, 1, 1)))) == 24
 
 
-def test_stringy_polytope_builds_one_hull(monkeypatch):
+def test_simplex_routes_build_no_hull_and_no_face_lattice(monkeypatch):
     # beneath_beyond is the one hull loop: hull_with_faces and the IP
-    # certificate both run on it
+    # certificate both run on it; the simplex pair is built, not hulled, and
+    # the stringy route sums over vertex subsets, not over a face lattice
     calls = []
-    real = polytope.beneath_beyond
+    real_hull = polytope.beneath_beyond
+    real_faces = polytope.Polytope._build_face_lattice
 
-    def spy(points, start):
-        calls.append(points)
-        return real(points, start)
+    def hull_spy(points, start):
+        calls.append("hull")
+        return real_hull(points, start)
+
+    def faces_spy(self):
+        calls.append("face lattice")
+        return real_faces(self)
 
     for module in (polytope, quasismooth):
-        monkeypatch.setattr(module, "beneath_beyond", spy)
-    for ws, chi in (((1, 1, 2), 0), ((1, 1, 1, 1), 24), ((1, 2, 3, 4, 5), 126)):
+        monkeypatch.setattr(module, "beneath_beyond", hull_spy)
+    monkeypatch.setattr(polytope.Polytope, "_build_face_lattice", faces_spy)
+    for ws, chi in (((1, 1, 2), 0), ((1, 1, 1, 1), 24), ((1, 2, 3, 4, 5), 126), ((5, 6, 22, 33), 24)):
         w = WeightVector(ws)
         has_ip_property(w)  # the IP test runs certificate hulls of its own
         lattice = mirror_lattice(w)
         calls.clear()
         assert stringy_polytope(lattice) == chi
-        assert len(calls) == 1  # the mirror simplex
+        mirror_simplex(lattice)
+        dual_simplex(w, lattice)
+        assert calls == []
 
 
 def test_stringy_reflexive_examples():

@@ -5,19 +5,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cywps.errors import InternalError, NotWellFormedError
+from cywps.errors import EnumerationLimitError, InternalError, NotWellFormedError
 from cywps.polytope import hull_with_faces, lattice_points
 from cywps.wps import (
+    WEIGHT_COUNT_LIMIT,
     WeightVector,
     dual_simplex,
     mirror_lattice,
+    mirror_simplex,
     newton_count,
     newton_hull,
     newton_points,
     subset_gcd,
     weight_flags,
 )
-from conftest import fake_mirror_generators, random_well_formed, reference_det
+from conftest import fake_mirror_generators, ip_pool, random_well_formed, reference_det
 
 
 def test_parse():
@@ -28,6 +30,9 @@ def test_parse():
         WeightVector.parse("1,x,3")
     with pytest.raises(ValueError):
         WeightVector.parse("1,2")
+    assert WeightVector.parse(",".join(["1"] * WEIGHT_COUNT_LIMIT)).dim == WEIGHT_COUNT_LIMIT - 1
+    with pytest.raises(EnumerationLimitError, match="limit"):
+        WeightVector.parse(",".join(["1"] * (WEIGHT_COUNT_LIMIT + 1)))
 
 
 def test_weight_flags_examples():
@@ -104,6 +109,35 @@ def test_dual_simplex_pairing_fault_is_an_internal_error():
     negated = tuple(tuple(-x for x in g) for g in lattice.generators)
     with pytest.raises(InternalError, match="pair to -1"):
         dual_simplex(w, dataclasses.replace(lattice, generators=negated))
+
+
+def _same_polytope(built, oracle):
+    assert (built.dim, built.ambient_dim) == (oracle.dim, oracle.ambient_dim)
+    assert built.vertices == oracle.vertices
+    assert built.facets == oracle.facets  # normals, offsets and vertex ids
+    assert built.dump() == oracle.dump()
+
+
+@st.composite
+def _shuffled_well_formed(draw):
+    # d = 2..6 in random weight order, so w_0 != 1 and the reduction's own basis are common
+    rng = random.Random(draw(st.integers(0, 10**9)))
+    w = random_well_formed(rng, draw(st.integers(2, 6)), 60)
+    ws = list(w.weights)
+    rng.shuffle(ws)
+    return WeightVector(tuple(ws))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from(sorted(ip_pool())).map(WeightVector.parse), _shuffled_well_formed()))
+@example(WeightVector((5, 6, 22, 33)))
+@example(WeightVector((1, 1, 1, 1, 2, 6, 24)))
+def test_simplex_pair_matches_hull_oracle(w):
+    # the hull is the oracle: both simplices are built from the lattice pairing
+    lat = mirror_lattice(w)
+    _same_polytope(mirror_simplex(lat), hull_with_faces(lat.generators))
+    dual = dual_simplex(w, lat)
+    _same_polytope(dual, hull_with_faces(dual.vertices))
 
 
 def test_quintic_simplex_volume_by_determinant():
