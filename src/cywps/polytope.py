@@ -2,16 +2,18 @@
 
 Integers are the only number type inside the hull, lattice-point and volume
 loops: each clears the denominators of its input once, on entry, and divides
-once on exit.  The one hull loop, ``beneath_beyond``, inserts scaled
-integer points and returns simplicial boundary pieces, so there is no epsilon
-anywhere; ``hull_with_faces`` merges them into true facets, and the IP
-certificate of ``quasismooth`` reads them raw.  The mirror simplex and its
-dual are not hulled: ``wps`` builds both, vertices and facets, from the
-lattice pairing, and the hull is only their test oracle.  A polytope carries
-its V-representation, its H-representation {x : <normal, x> >= -offset}
-with primitive integer normals, and a lazily built face lattice graded from
-the vertex-facet incidences alone: the faces one dimension below a face are
-the inclusion-maximal nonempty proper meets of it with the facets.
+once on exit.  The one hull loop, ``BeneathBeyond``, inserts scaled integer
+points into a growing hull of simplicial boundary pieces, so there is no
+epsilon anywhere; ``hull_with_faces`` inserts all of its points once and
+merges the pieces into true facets, and the IP certificate of ``quasismooth``
+grows one hull round by round and reads its pieces raw.  The mirror simplex
+and its dual are not hulled: ``wps`` builds both, vertices and facets, from
+the lattice pairing, and the hull is only their test oracle.  A polytope
+carries its V-representation, its H-representation
+{x : <normal, x> >= -offset} with primitive integer normals, and a lazily
+built face lattice graded from the vertex-facet incidences alone: the faces
+one dimension below a face are the inclusion-maximal nonempty proper meets
+of it with the facets.
 
 A lower-dimensional polytope is hulled as its projection onto the
 coordinates its affine hull projects onto one-to-one, so the hull sees the
@@ -25,16 +27,20 @@ weight vector included; its lattice points are also the degree-w monomials
 that ``wps.newton_points`` lists.
 
 A facet normal and its offset are the primitive integer kernel vector of the
-rows (p, 1) of its points: the last column of the transform of one
-unimodular column reduction, ``exact.hermite``.  A hull point is a vertex
-when the facets through it meet in it alone.  Normalized volumes
-Vol_k = k! * vol_k have one kernel, ``simplex_volume``.  Its integer core
-``simplex_index`` measures a lattice simplex: the index of its edge lattice
-in the saturated lattice of its direction span, the gcd of the k x k minors
-of its edge vectors, read as the pivot product of the same column reduction
-in O(k^2 n) steps.  A rational simplex S is measured as the lattice simplex
-lS, by the scaling rule Vol_k(S) = Vol_k(lS) / l^k.  A face is the sum of
-the simplices of its pulling triangulation over the face lattice.
+rows (p, 1) of its points.  For the start simplex of a hull it is the last
+column of the transform of one unimodular column reduction, ``exact.hermite``;
+every later piece, a horizon ridge joined to the new point, takes it from the
+pencil of the two pieces on that ridge, an integer combination divided by its
+gcd (Edelsbrunner, Algorithms in Combinatorial Geometry, 1987, 8.4).  A hull
+point is a vertex when the facets through it meet in it alone.  Normalized
+volumes Vol_k = k! * vol_k have one kernel, ``simplex_volume``.  Its integer
+core ``simplex_index`` measures a lattice simplex: the index of its edge
+lattice in the saturated lattice of its direction span, the gcd of the k x k
+minors of its edge vectors, read as the pivot product of the same column
+reduction in O(k^2 n) steps.  A rational simplex S is measured as the
+lattice simplex lS, by the scaling rule Vol_k(S) = Vol_k(lS) / l^k.  A face
+is the sum of the simplices of its pulling triangulation over the face
+lattice.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, EnumerationLimitError
@@ -56,13 +63,13 @@ from .exact import (
 
 Point = tuple  # coordinates are int or Fraction
 Chart = tuple[list[int], list[tuple[int, tuple[int, ...], int]]]  # see ``_chart``
-Piece = tuple[frozenset[int], tuple[int, ...], int]  # see ``beneath_beyond``
+Piece = tuple[frozenset[int], tuple[int, ...], int]  # see ``BeneathBeyond``
 
 LATTICE_SCAN_LIMIT = 10_000_000
 
 
 def _dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _normalize_point(p: Sequence) -> Point:
@@ -298,72 +305,97 @@ def _hyperplane(points: Sequence[Point], inside: Point) -> tuple[tuple[int, ...]
     return tuple(normal), offset
 
 
-def beneath_beyond(pts: list[tuple[int, ...]], start: list[int]) -> list[Piece]:
-    """Beneath-beyond hull of integer points affinely spanning R^k (k >= 1)
-    from the simplex ``start``, whose centroid must be integral: the boundary
-    pieces (point_ids, normal, offset), each a simplex in the halfspace
-    <normal, x> + offset >= 0.  A facet is the union of its pieces."""
-    k = len(pts[0])
-    centre = tuple(sum(pts[i][j] for i in start) // (k + 1) for j in range(k))
+class BeneathBeyond:
+    """Beneath-beyond hull of integer points affinely spanning R^k (k >= 1),
+    started from the simplex ``start``, whose centroid must be integral, and
+    grown by ``insert``: its ``pieces`` are the boundary pieces (point_ids,
+    normal, offset), each a simplex in the halfspace <normal, x> + offset >= 0.
+    A facet is the union of its pieces.
 
-    pieces: dict[int, Piece] = {}
-    ridge_map: dict[frozenset[int], set[int]] = {}
-    next_id = 0
+    Only the start simplex's k + 1 pieces come from ``_hyperplane``.  A later
+    piece joins a horizon ridge to the new point p, and lies in the pencil of
+    the two pieces on that ridge: with b = H_v(p) < 0 on the visible one and
+    a = H_u(p) >= 0 on the kept one, a H_v - b H_u vanishes on the ridge and
+    on p and is positive at the centre, so divided by the gcd of its entries
+    it is the primitive kernel vector that ``_hyperplane`` would return."""
 
-    def add_piece(vset: frozenset[int]) -> None:
-        nonlocal next_id
-        normal, offset = _hyperplane([pts[i] for i in sorted(vset)], centre)
-        pid = next_id
-        next_id += 1
-        pieces[pid] = (vset, normal, offset)
+    def __init__(self, pts: Sequence[tuple[int, ...]], start: list[int]):
+        k = len(pts[0])
+        self.points = list(pts)
+        self.centre = tuple(sum(pts[i][j] for i in start) // (k + 1) for j in range(k))
+        self._pieces: dict[int, Piece] = {}
+        self._ridges: dict[frozenset[int], set[int]] = {}
+        self._next_id = 0
+        for omit in start:
+            vset = frozenset(start) - {omit}
+            self._add(vset, *_hyperplane([pts[i] for i in sorted(vset)], self.centre))
+        todo = [i for i in range(len(pts)) if i not in start]
+        todo.sort(key=lambda i: (-max(map(abs, pts[i])), pts[i]))
+        for i in todo:
+            self._grow(i)
+
+    @property
+    def pieces(self) -> list[Piece]:
+        return list(self._pieces.values())
+
+    def insert(self, p: tuple[int, ...]) -> None:
+        """Append the point p and grow the hull over it."""
+        self.points.append(p)
+        self._grow(len(self.points) - 1)
+
+    def _add(self, vset: frozenset[int], normal: tuple[int, ...], offset: int) -> None:
+        pid = self._next_id
+        self._next_id += 1
+        self._pieces[pid] = (vset, normal, offset)
         for v in vset:
-            ridge_map.setdefault(vset - {v}, set()).add(pid)
+            self._ridges.setdefault(vset - {v}, set()).add(pid)
 
-    def drop_piece(pid: int) -> None:
-        vset, _, _ = pieces.pop(pid)
+    def _drop(self, pid: int) -> None:
+        vset, _, _ = self._pieces.pop(pid)
         for v in vset:
             r = vset - {v}
-            ridge_map[r].discard(pid)
-            if not ridge_map[r]:
-                del ridge_map[r]
+            self._ridges[r].discard(pid)
+            if not self._ridges[r]:
+                del self._ridges[r]
 
-    for omit in start:
-        add_piece(frozenset(start) - {omit})
-
-    todo = [i for i in range(len(pts)) if i not in start]
-    todo.sort(key=lambda i: (-max(map(abs, pts[i])), pts[i]))
-    for i in todo:
-        p = pts[i]
-        visible = [pid for pid, (_, nrm, off) in pieces.items() if _dot(nrm, p) + off < 0]
-        if not visible:
-            continue
-        visible_set = set(visible)
-        horizon: list[frozenset[int]] = []
-        for pid in visible:
-            vset = pieces[pid][0]
+    def _grow(self, i: int) -> None:
+        p = self.points[i]
+        pieces = self._pieces
+        visible = {}
+        for pid, (_, nrm, off) in pieces.items():
+            b = _dot(nrm, p) + off
+            if b < 0:
+                visible[pid] = b
+        new: list[Piece] = []
+        for pid, b in visible.items():
+            vset, nrm_v, off_v = pieces[pid]
             for v in vset:
                 ridge = vset - {v}
-                others = ridge_map[ridge] - visible_set
-                if others:
-                    horizon.append(ridge)
+                for uid in self._ridges[ridge]:
+                    if uid in visible:
+                        continue
+                    _, nrm_u, off_u = pieces[uid]
+                    a = _dot(nrm_u, p) + off_u
+                    h = [a * x - b * y for x, y in zip((*nrm_v, off_v), (*nrm_u, off_u))]
+                    g = math.gcd(*h)
+                    new.append((ridge | {i}, tuple(x // g for x in h[:-1]), h[-1] // g))
         for pid in visible:
-            drop_piece(pid)
-        for ridge in horizon:
-            add_piece(ridge | {i})
-    return list(pieces.values())
+            self._drop(pid)
+        for piece in new:
+            self._add(*piece)
 
 
 def _hull_full_dim(
     pts: list[Point], chosen: list[int]
 ) -> list[tuple[tuple[int, ...], Fraction, list[int]]]:
     """The facets (normal, offset, point_ids) of points affinely spanning R^k
-    (k >= 1): their ``beneath_beyond`` pieces from points[0] and the points
+    (k >= 1): their ``BeneathBeyond`` pieces from points[0] and the points
     ``chosen`` by ``_affine_basis``, merged.  It runs on the points scaled by
     m = (k + 1) * lcm(denominators), integers with an integral start centroid,
     and divides the offsets by m on return."""
     m, pts = _cleared(pts, len(pts[0]) + 1)
     merged: dict[tuple[tuple[int, ...], int], set[int]] = {}
-    for vset, nrm, off in beneath_beyond(pts, [0, *chosen]):
+    for vset, nrm, off in BeneathBeyond(pts, [0, *chosen]).pieces:
         merged.setdefault((nrm, off), set()).update(vset)
 
     # a candidate is a vertex when the facets through it meet in it alone,

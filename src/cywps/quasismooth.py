@@ -53,7 +53,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalError
 from .exact import format_rational, hermite, pivot_rows
-from .polytope import beneath_beyond
+from .polytope import BeneathBeyond
 from .wps import WeightVector, weight_flags
 
 _FILTERS = ("transverse", "ip", "all")
@@ -141,13 +141,16 @@ def has_ip_property(w: WeightVector) -> bool:
     """True if the degree-w Newton polytope is d-dimensional with (1, ..., 1)
     strictly interior.
 
-    Interiority of the all-ones point is decided exactly, through hulls of a
-    growing certificate subset of Newton points: the support of the Newton
+    Interiority of the all-ones point is decided exactly, through one hull of
+    a growing certificate subset of Newton points: the support of the Newton
     polytope along any direction is an integer knapsack maximum, so a
     direction with support 0 after shifting certifies a boundary point, while
     a certificate hull with the shifted point strictly inside certifies IP:
-    the raw pieces of ``beneath_beyond``, no ``Polytope``, all of positive
-    offset; else the next direction is minus the normal of the least piece.
+    the raw pieces of one ``BeneathBeyond``, no ``Polytope``, all of positive
+    offset; else the next direction is minus the normal of the least piece,
+    and its support point is inserted into that hull.  A support point
+    already in the certificate is an ``InternalError``, so every round adds a
+    Newton point and the rounds are bounded.
     Along the 2d coordinate axes the supports, the extreme exponents of each
     z_i, and a monomial attaining each are read off the reachability bitsets
     of the pre-check; the knapsack runs only along the other directions.
@@ -168,13 +171,17 @@ def has_ip_property(w: WeightVector) -> bool:
         if not _reachable(ws, deg, full ^ (1 << i), memo) >> deg & 1:
             return False
 
+    points: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = {(0,) * d}  # the shifted origin is in every certificate
+
     def support(y: Sequence[int]):
         # dropping u_0 is an affine bijection of the degree hyperplane onto R^d
         value, u = _knapsack_argmax(ws, deg, (0, *y))
-        return value - sum(y), tuple(x - 1 for x in u[1:])
-
-    points: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+        h, p = value - sum(y), tuple(x - 1 for x in u[1:])
+        if h and p in seen:
+            # every certificate point q has <y, q> <= 0 < h = <y, p>
+            raise InternalError(f"support point {p} is already in the certificate")
+        return h, p
 
     def add(p: tuple[int, ...]) -> None:
         if p not in seen:
@@ -223,18 +230,20 @@ def has_ip_property(w: WeightVector) -> bool:
                 return False
             add(p)
 
-    # hull 0 and the points from 0 and the pivot rows, scaled by d + 1 so
-    # that the centroid of that simplex is integral
+    # one hull of 0 and the points from 0 and the pivot rows, scaled by d + 1
+    # so that the centroid of that simplex is integral; each round inserts
+    # one new support point, so the rounds are at most the Newton points
     start = [0, *(r + 1 for r in pivot_rows(reduced))]
+    hull = BeneathBeyond([tuple((d + 1) * x for x in p) for p in [(0,) * d, *points]], start)
     while True:
-        scaled = [tuple((d + 1) * x for x in p) for p in [(0,) * d, *points]]
-        _, normal, offset = min(beneath_beyond(scaled, start), key=lambda pc: (pc[2], pc[1]))
+        _, normal, offset = min(hull.pieces, key=lambda pc: (pc[2], pc[1]))
         if offset > 0:
             return True
         h, p = support(tuple(-x for x in normal))
         if h == 0:
             return False
         add(p)
+        hull.insert(tuple((d + 1) * x for x in p))
 
 
 @dataclass(frozen=True)

@@ -142,11 +142,11 @@ def test_stringy_polytope_examples():
 
 
 def test_simplex_routes_build_no_hull_and_no_face_lattice(monkeypatch):
-    # beneath_beyond is the one hull loop: hull_with_faces and the IP
+    # BeneathBeyond is the one hull loop: hull_with_faces and the IP
     # certificate both run on it; the simplex pair is built, not hulled, and
     # the stringy route sums over vertex subsets, not over a face lattice
     calls = []
-    real_hull = polytope.beneath_beyond
+    real_hull = polytope.BeneathBeyond
     real_faces = polytope.Polytope._build_face_lattice
 
     def hull_spy(points, start):
@@ -158,7 +158,7 @@ def test_simplex_routes_build_no_hull_and_no_face_lattice(monkeypatch):
         return real_faces(self)
 
     for module in (polytope, quasismooth):
-        monkeypatch.setattr(module, "beneath_beyond", hull_spy)
+        monkeypatch.setattr(module, "BeneathBeyond", hull_spy)
     monkeypatch.setattr(polytope.Polytope, "_build_face_lattice", faces_spy)
     for ws, chi in (((1, 1, 2), 0), ((1, 1, 1, 1), 24), ((1, 2, 3, 4, 5), 126), ((5, 6, 22, 33), 24)):
         w = WeightVector(ws)

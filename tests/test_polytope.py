@@ -12,9 +12,11 @@ from cywps import polytope
 from cywps.errors import DomainError, EnumerationLimitError
 from cywps.exact import primitive_vector
 from cywps.polytope import (
+    BeneathBeyond,
     Face,
     _affine_basis,
     _chart,
+    _cleared,
     _hyperplane,
     bracket,
     dual_polytope,
@@ -194,6 +196,46 @@ def _outcome(fn, points, inside):
 def test_hyperplane_matches_cofactor_oracle(case):
     points, inside = case
     assert _outcome(_hyperplane, points, inside) == _outcome(_cofactor_hyperplane, points, inside)
+
+
+@st.composite
+def _growing_hull_inputs(draw):
+    """Integer points in R^k for k = 1..5, doubled so that the midpoints of
+    pairs are integers, with midpoints and repeated points shuffled in, and
+    where to split them into a first and a second batch."""
+    k = draw(st.integers(1, 5))
+    coords = st.tuples(*[st.integers(-4, 4)] * k)
+    points = [tuple(2 * x for x in p) for p in draw(st.lists(coords, min_size=k + 1, max_size=8))]
+    pairs = st.tuples(st.sampled_from(points), st.sampled_from(points))
+    points += [tuple((x + y) // 2 for x, y in zip(a, b)) for a, b in draw(st.lists(pairs, max_size=6))]
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    points = draw(st.permutations(points))
+    return points, draw(st.integers(0, len(points)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_growing_hull_inputs())
+@example(([(0,), (2,), (-2,), (4,), (1,)], 2))  # k = 1: every ridge is empty
+def test_pencil_pieces_match_hyperplane_and_one_shot_hull(case):
+    points, split = case
+    k = len(points[0])
+    chosen = _affine_basis(points)
+    if len(chosen) < k:
+        return
+    m, scaled = _cleared(points, k + 1)
+    first = max(split, chosen[-1] + 1)
+    hull = BeneathBeyond(scaled[:first], [0, *chosen])
+    for p in scaled[first:]:
+        hull.insert(p)
+    merged = {}
+    for vset, normal, offset in hull.pieces:
+        assert _hyperplane([hull.points[i] for i in sorted(vset)], hull.centre) == (normal, offset)
+        merged.setdefault((normal, Fraction(offset, m)), set()).update(hull.points[i] for i in vset)
+    poly = hull_with_faces(points)
+    assert set(merged) == {(f.normal, f.offset) for f in poly.facets}
+    for f in poly.facets:
+        vertices = {tuple(m * x for x in poly.vertices[i]) for i in f.vertex_ids}
+        assert vertices <= merged[f.normal, f.offset]
 
 
 def test_cross_polytope_dual_is_cube():

@@ -77,7 +77,7 @@ def test_ip_against_full_hull_random(weights):
     assert has_ip_property(w) == ip_by_full_hull(w)
 
 
-def test_ip_certificate_builds_no_polytope(monkeypatch):
+def _certificate_cases():
     # the examples of test_ip_against_full_hull_random, the showcase and a
     # seeded draw from the same weight ranges
     rng = random.Random(16)
@@ -87,7 +87,11 @@ def test_ip_certificate_builds_no_polytope(monkeypatch):
     for _ in range(40):
         d, top = rng.choice(((2, 14), (3, 12), (4, 9)))
         cases.append(tuple(rng.randint(1, top) for _ in range(d + 1)))
-    want = {ws: ip_by_full_hull(WeightVector(ws)) for ws in cases}
+    return cases
+
+
+def test_ip_certificate_builds_no_polytope(monkeypatch):
+    want = {ws: ip_by_full_hull(WeightVector(ws)) for ws in _certificate_cases()}
     assert any(want.values()) and not all(want.values())
 
     def refuse(*args, **kwargs):
@@ -97,6 +101,60 @@ def test_ip_certificate_builds_no_polytope(monkeypatch):
     monkeypatch.setattr(polytope.Polytope, "__init__", refuse)
     for ws, ip in want.items():
         assert has_ip_property.__wrapped__(WeightVector(ws)) == ip, ws
+
+
+def test_ip_certificate_grows_one_hull(monkeypatch):
+    # every round inserts its support point into the one hull, and only the
+    # start simplex's d + 1 pieces run a column reduction: the later pieces
+    # come from the pencil of their horizon ridge
+    import cywps.quasismooth as qs
+
+    builds, hyperplanes = [], []
+    real_hull, real_hyperplane = qs.BeneathBeyond, polytope._hyperplane
+
+    def hull_spy(points, start):
+        builds.append(start)
+        return real_hull(points, start)
+
+    def hyperplane_spy(points, inside):
+        hyperplanes.append(points)
+        return real_hyperplane(points, inside)
+
+    monkeypatch.setattr(qs, "BeneathBeyond", hull_spy)
+    monkeypatch.setattr(polytope, "_hyperplane", hyperplane_spy)
+    for ws in _certificate_cases():
+        builds.clear()
+        hyperplanes.clear()
+        has_ip_property.__wrapped__(WeightVector(ws))
+        assert len(builds) <= 1, ws
+        assert len(hyperplanes) <= len(ws), ws  # d + 1
+
+
+@pytest.mark.parametrize("fault", ["shifted origin", "first maximizer"])
+def test_repeated_support_point_is_an_internal_error(monkeypatch, capsys, fault):
+    # a support point of positive support lies beyond every certificate
+    # point, so a repeated one is a fault of the support, which would grow
+    # the same hull forever; (1,1,1,4,5) is IP and takes two knapsack rounds
+    import cywps.quasismooth as qs
+    from cywps.cli import main
+
+    real = qs._knapsack_argmax
+    found = []
+
+    def faulty(ws, deg, direction):
+        value, u = real(ws, deg, direction)
+        found.append(u)
+        return value, (1,) * len(ws) if fault == "shifted origin" else found[0]
+
+    monkeypatch.setattr(qs, "_knapsack_argmax", faulty)
+    with pytest.raises(InternalError, match="already in the certificate"):
+        has_ip_property.__wrapped__(WeightVector((1, 1, 1, 4, 5)))
+    found.clear()
+    has_ip_property.cache_clear()
+    assert main(["verify", "1,1,1,4,5"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:") and "already in the certificate" in captured.err
 
 
 def test_knapsack_unreachable_degree_is_an_internal_error():
