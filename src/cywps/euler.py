@@ -158,7 +158,7 @@ def stringy_polytope(lattice: MirrorLattice) -> Fraction:
             f"bracket of the dual simplex of {w} is not canonical (no IP-property)"
         )
     d = lattice.dim
-    scaled = list(zip(polar_vertices(w, lattice), w.weights))  # (w_i * m_i, w_i)
+    scaled = list(zip(polar_vertices(lattice), w.weights))  # (w_i * m_i, w_i)
     lcm = math.lcm(*(wi // math.gcd(wi, *wm) for wm, wi in scaled))
     polar = [tuple(x * lcm // wi for x in wm) for wm, wi in scaled]
     zero = (0,) * d
@@ -291,7 +291,7 @@ def mirror_test(w: WeightVector) -> EulerReport:
                 f"chi_orb_formula = {format_rational(chi_double)} is not an integer: "
                 "no Landau-Ginzburg description and no mirror at all"
             )
-        hull = newton_hull(w, lattice)
+        hull = newton_hull(lattice)
         try:
             chi_geom = stringy_reflexive(hull)
         except DomainError:  # refused exactly when the Newton polytope is not reflexive

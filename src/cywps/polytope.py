@@ -2,9 +2,9 @@
 
 Integers are the only number type inside the hull, lattice-point and volume
 loops: each clears the denominators of its input once, on entry, and divides
-once on exit.  The one hull loop, ``BeneathBeyond``, inserts scaled integer
-points into a growing hull of simplicial boundary pieces, so there is no
-epsilon anywhere; ``hull_with_faces`` inserts all of its points once and
+once on exit.  The one hull loop, ``BeneathBeyond``, inserts integer points
+into a growing hull of simplicial boundary pieces, so there is no epsilon
+anywhere; ``hull_with_faces`` clears its points once, inserts all of them and
 merges the pieces into true facets, and the IP certificate of ``quasismooth``
 grows one hull round by round and reads its pieces raw.  The mirror simplex
 and its dual are not hulled: ``wps`` builds both, vertices and facets, from
@@ -21,10 +21,10 @@ input's own numbers; its chart keeps, per ambient coordinate, the integer
 affine form that lifts a projected point back.  There is no rational
 elimination: ``_affine_basis`` (once per hull, for its dimension and start
 simplex) and ``_chart`` read pivot rows and kernel vectors of the integer
-column reduction ``exact.hermite`` on cleared points.  Lattice points come
-from one pruned bounding-box scan for every polytope, the dual simplex of a
-weight vector included; its lattice points are also the degree-w monomials
-that ``wps.newton_points`` lists.
+column reduction ``exact.hermite`` on the hull's cleared points.  Lattice
+points come from one pruned bounding-box scan for every polytope, the dual
+simplex of a weight vector included; its lattice points are also the
+degree-w monomials that ``wps.newton_points`` lists.
 
 A facet normal and its offset are the primitive integer kernel vector of the
 rows (p, 1) of its points.  For the start simplex of a hull it is the last
@@ -33,14 +33,14 @@ every later piece, a horizon ridge joined to the new point, takes it from the
 pencil of the two pieces on that ridge, an integer combination divided by its
 gcd (Edelsbrunner, Algorithms in Combinatorial Geometry, 1987, 8.4).  A hull
 point is a vertex when the facets through it meet in it alone.  Normalized
-volumes Vol_k = k! * vol_k have one kernel, ``simplex_volume``.  Its integer
-core ``simplex_index`` measures a lattice simplex: the index of its edge
-lattice in the saturated lattice of its direction span, the gcd of the k x k
-minors of its edge vectors, read as the pivot product of the same column
-reduction in O(k^2 n) steps.  A rational simplex S is measured as the
-lattice simplex lS, by the scaling rule Vol_k(S) = Vol_k(lS) / l^k.  A face
-is the sum of the simplices of its pulling triangulation over the face
-lattice.
+volumes Vol_k = k! * vol_k have one kernel, ``simplex_index``, which measures
+a lattice simplex: the index of its edge lattice in the saturated lattice of
+its direction span, the gcd of the k x k minors of its edge vectors, read as
+the pivot product of the same column reduction in O(k^2 n) steps.  A
+rational face F is measured as the lattice face lF, its vertices cleared
+once, by the scaling rule Vol_k(F) = Vol_k(lF) / l^k: the integer sum of
+``simplex_index`` over the simplices of its pulling triangulation over the
+face lattice, divided once.
 """
 
 from __future__ import annotations
@@ -250,32 +250,32 @@ class Polytope:
 # -- construction ---------------------------------------------------------------
 
 
-def _cleared(points: Sequence[Point], factor: int) -> tuple[int, list[tuple[int, ...]]]:
-    """(m, m * points) with m = factor * lcm of every coordinate denominator."""
-    lcm, flat = clear_denominators([x for p in points for x in p])
+def _cleared(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]]]:
+    """(l, l * points) with l the lcm of every coordinate denominator."""
+    l, flat = clear_denominators([x for p in points for x in p])
     n = len(points[0])
-    return factor * lcm, [tuple(factor * x for x in flat[i : i + n]) for i in range(0, len(flat), n)]
+    return l, [tuple(flat[i : i + n]) for i in range(0, len(flat), n)]
 
 
-def _affine_basis(points: Sequence[Point]) -> list[int]:
-    """Indices of the points whose differences from points[0] are the first
-    independent ones (their ``hermite`` pivot rows); with points[0] they span
-    the affine hull, so their number is its dimension."""
-    _, (base, *rest) = _cleared(points, 1)
+def _affine_basis(points: Sequence[tuple[int, ...]]) -> list[int]:
+    """Indices of the integer points whose differences from points[0] are the
+    first independent ones (their ``hermite`` pivot rows); with points[0] they
+    span the affine hull, so their number is its dimension."""
+    base, *rest = points
     h = hermite([[x - b for x, b in zip(p, base)] for p in rest])[0]
     return [r + 1 for r in pivot_rows(h)]
 
 
-def _chart(base: Point, spanning: Sequence[Point]) -> Chart:
-    """Chart of the affine hull of ``base`` and the affinely independent
-    ``spanning`` points: the first coordinates ``coords`` onto which it
-    projects one-to-one, the pivot rows of ``hermite`` on the transposed
-    edges, and for each ambient coordinate j the primitive (m, g, g0), m > 0,
-    with m * x_j = <g, y> + g0 for y the projection of x: as in
-    ``_hyperplane``, the kernel vector (a, a_j, a_0) of the rows
-    (p_coords, p_j, 1) of the cleared points p, a_j != 0 as coords fix p_j."""
-    l, cleared = _cleared([base, *spanning], 1)
-    edges = [[x - y for x, y in zip(p, cleared[0])] for p in cleared[1:]]
+def _chart(l: int, base: tuple[int, ...], spanning: Sequence[tuple[int, ...]]) -> Chart:
+    """Chart of the affine hull of x = p / l over the cleared ``base`` and the
+    affinely independent cleared ``spanning`` points p: the first coordinates
+    ``coords`` onto which it projects one-to-one, the pivot rows of
+    ``hermite`` on the transposed edges, and for each ambient coordinate j the
+    primitive (m, g, g0), m > 0, with m * x_j = <g, y> + g0 for y the
+    projection of x: as in ``_hyperplane``, the kernel vector (a, a_j, a_0) of
+    the rows (p_coords, p_j, 1), a_j != 0 as coords fix p_j."""
+    cleared = [base, *spanning]
+    edges = [[x - y for x, y in zip(p, base)] for p in spanning]
     coords = pivot_rows(hermite(list(zip(*edges)))[0])
     lifts = []
     for j in range(len(base)):
@@ -307,28 +307,27 @@ def _hyperplane(points: Sequence[Point], inside: Point) -> tuple[tuple[int, ...]
 
 class BeneathBeyond:
     """Beneath-beyond hull of integer points affinely spanning R^k (k >= 1),
-    started from the simplex ``start``, whose centroid must be integral, and
-    grown by ``insert``: its ``pieces`` are the boundary pieces (point_ids,
-    normal, offset), each a simplex in the halfspace <normal, x> + offset >= 0.
-    A facet is the union of its pieces.
+    started from the simplex ``start`` and grown by ``insert``: its ``pieces``
+    are the boundary pieces (point_ids, normal, offset), each a simplex in the
+    halfspace <normal, x> + offset >= 0.  A facet is the union of its pieces.
 
-    Only the start simplex's k + 1 pieces come from ``_hyperplane``.  A later
-    piece joins a horizon ridge to the new point p, and lies in the pencil of
-    the two pieces on that ridge: with b = H_v(p) < 0 on the visible one and
-    a = H_u(p) >= 0 on the kept one, a H_v - b H_u vanishes on the ridge and
-    on p and is positive at the centre, so divided by the gcd of its entries
-    it is the primitive kernel vector that ``_hyperplane`` would return."""
+    Only the start simplex's k + 1 pieces come from ``_hyperplane``, each
+    oriented by the start vertex it omits, which lies strictly on its inner
+    side.  A later piece joins a horizon ridge to the new point p, and lies in
+    the pencil of the two pieces on that ridge: with b = H_v(p) < 0 on the
+    visible one and a = H_u(p) >= 0 on the kept one, a H_v - b H_u vanishes on
+    the ridge and on p and is positive inside, so divided by the gcd of its
+    entries it is the primitive kernel vector that ``_hyperplane`` would
+    return."""
 
     def __init__(self, pts: Sequence[tuple[int, ...]], start: list[int]):
-        k = len(pts[0])
         self.points = list(pts)
-        self.centre = tuple(sum(pts[i][j] for i in start) // (k + 1) for j in range(k))
         self._pieces: dict[int, Piece] = {}
         self._ridges: dict[frozenset[int], set[int]] = {}
         self._next_id = 0
         for omit in start:
             vset = frozenset(start) - {omit}
-            self._add(vset, *_hyperplane([pts[i] for i in sorted(vset)], self.centre))
+            self._add(vset, *_hyperplane([pts[i] for i in sorted(vset)], pts[omit]))
         todo = [i for i in range(len(pts)) if i not in start]
         todo.sort(key=lambda i: (-max(map(abs, pts[i])), pts[i]))
         for i in todo:
@@ -385,74 +384,56 @@ class BeneathBeyond:
             self._add(*piece)
 
 
-def _hull_full_dim(
-    pts: list[Point], chosen: list[int]
-) -> list[tuple[tuple[int, ...], Fraction, list[int]]]:
-    """The facets (normal, offset, point_ids) of points affinely spanning R^k
-    (k >= 1): their ``BeneathBeyond`` pieces from points[0] and the points
-    ``chosen`` by ``_affine_basis``, merged.  It runs on the points scaled by
-    m = (k + 1) * lcm(denominators), integers with an integral start centroid,
-    and divides the offsets by m on return."""
-    m, pts = _cleared(pts, len(pts[0]) + 1)
-    merged: dict[tuple[tuple[int, ...], int], set[int]] = {}
-    for vset, nrm, off in BeneathBeyond(pts, [0, *chosen]).pieces:
-        merged.setdefault((nrm, off), set()).update(vset)
-
-    # a candidate is a vertex when the facets through it meet in it alone,
-    # i.e. no other candidate lies on all of them: otherwise they meet in a
-    # face of positive dimension, whose vertices are candidates too
-    candidates = sorted(set().union(*merged.values()))
-    meets = {c: -1 for c in candidates}  # bitsets over candidate ids
-    facet_points: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for (nrm, off) in merged:
-        on_plane = [c for c in candidates if _dot(nrm, pts[c]) + off == 0]
-        facet_points[(nrm, off)] = on_plane
-        mask = sum(1 << c for c in on_plane)
-        for c in on_plane:
-            meets[c] &= mask
-    vertex_ids = {c for c in candidates if meets[c] == 1 << c}
-    return [
-        (nrm, Fraction(off, m), sorted(v for v in pt_ids if v in vertex_ids))
-        for (nrm, off), pt_ids in facet_points.items()
-    ]
-
-
 def hull_with_faces(points: Iterable[Sequence]) -> Polytope:
     """Exact convex hull with minimal V-representation and H-representation.
 
-    Lower-dimensional input carries a chart: it is hulled as its projection
-    onto the coordinates its affine hull projects onto one-to-one, so the
-    hull sees the input's own numbers, and its facets are stated in those
+    The points are cleared once, to l * points with l the lcm of their
+    denominators: ``BeneathBeyond`` runs on those integers from points[0] and
+    the points ``_affine_basis`` chooses, and the offsets of its pieces,
+    merged into facets, are divided by l.  Lower-dimensional input carries a
+    chart: it is hulled as its projection onto the coordinates its affine
+    hull projects onto one-to-one, and its facets are stated in those
     coordinates.
     """
-    seen: set[Point] = set()
-    pts: list[Point] = []
-    for p in points:
-        q = _normalize_point(p)
-        if q not in seen:
-            seen.add(q)
-            pts.append(q)
+    pts = list(dict.fromkeys(map(_normalize_point, points)))
     if not pts:
         raise ValueError("empty point set")
     ambient = len(pts[0])
     if any(len(p) != ambient for p in pts):
         raise ValueError("points of mixed dimension")
+    if not ambient:
+        raise ValueError("points with no coordinates")
 
-    chosen = _affine_basis(pts)
+    l, cleared = _cleared(pts)
+    chosen = _affine_basis(cleared)
     dim = len(chosen)
     chart = None
-    projected = pts
     if dim < ambient:
-        chart = _chart(pts[0], [pts[i] for i in chosen])
-        projected = [tuple(p[c] for c in chart[0]) for p in pts]
+        chart = _chart(l, cleared[0], [cleared[i] for i in chosen])
+        # an injective affine map keeps the points' affine dependences, so
+        # the basis chosen on the input is the basis of its projection
+        cleared = [tuple(p[c] for c in chart[0]) for p in cleared]
     if dim == 0:
         return Polytope(ambient, 0, [pts[0]], [], chart)
-    # an injective affine map keeps the points' affine dependences, so the
-    # basis chosen on the input is the basis of its projection
-    raw = _hull_full_dim(projected, chosen)
-    vertex_ids = sorted(set().union(*(f[2] for f in raw)))
+    pieces = BeneathBeyond(cleared, [0, *chosen]).pieces
+    planes = dict.fromkeys((nrm, off) for _, nrm, off in pieces)  # the facets
+
+    # a candidate is a vertex when the facets through it meet in it alone,
+    # i.e. no other candidate lies on all of them: otherwise they meet in a
+    # face of positive dimension, whose vertices are candidates too
+    candidates = sorted(set().union(*(vset for vset, _, _ in pieces)))
+    meets = {c: -1 for c in candidates}  # bitsets over candidate ids
+    for nrm, off in planes:
+        on = planes[nrm, off] = [c for c in candidates if _dot(nrm, cleared[c]) + off == 0]
+        mask = sum(1 << c for c in on)
+        for c in on:
+            meets[c] &= mask
+    vertex_ids = [c for c in candidates if meets[c] == 1 << c]
     remap = {old: new for new, old in enumerate(vertex_ids)}
-    facets = [Facet(nrm, off, tuple(remap[i] for i in ids)) for nrm, off, ids in raw]
+    facets = [
+        Facet(nrm, Fraction(off, l), tuple(remap[i] for i in on if i in remap))
+        for (nrm, off), on in planes.items()
+    ]
     return Polytope(ambient, dim, [pts[i] for i in vertex_ids], facets, chart)
 
 
@@ -585,20 +566,15 @@ def simplex_index(points: Sequence[tuple[int, ...]]) -> int:
     return abs(math.prod(row[i] if i < len(row) else 0 for i, row in enumerate(h)))
 
 
-def simplex_volume(points: Sequence[Point]) -> Fraction:
-    """Normalized volume Vol_k of conv(points), k = len(points) - 1, relative
-    to span(edges) intersect Z^n: ``simplex_index`` of l * points / l^k, l the
-    lcm of their denominators; a single point measures 1."""
-    scale, cleared = _cleared(points, 1)
-    return Fraction(simplex_index(cleared), scale ** (len(points) - 1))
-
-
 def face_volume(p: Polytope, face: Face) -> Fraction:
     """Normalized volume Vol_k of a face, relative to span(face) intersect Z^n:
-    the sum of ``simplex_volume`` over its pulling triangulation."""
-    return sum(
-        (simplex_volume([p.vertices[i] for i in s]) for s in p._triangulate(face)), Fraction(0)
-    )
+    its vertices cleared once to l * vertices, ``simplex_index`` summed over
+    its pulling triangulation in an int, and divided once by l^k, as
+    Vol_k(S) = Vol_k(lS) / l^k; a vertex measures 1."""
+    l, cleared = _cleared([p.vertices[i] for i in face.vertex_ids])
+    at = dict(zip(face.vertex_ids, cleared))
+    total = sum(simplex_index([at[i] for i in s]) for s in p._triangulate(face))
+    return Fraction(total, l**face.dim)
 
 
 def normalized_volume(p: Polytope) -> Fraction:

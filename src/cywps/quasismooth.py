@@ -146,9 +146,10 @@ def has_ip_property(w: WeightVector) -> bool:
     polytope along any direction is an integer knapsack maximum, so a
     direction with support 0 after shifting certifies a boundary point, while
     a certificate hull with the shifted point strictly inside certifies IP:
-    the raw pieces of one ``BeneathBeyond``, no ``Polytope``, all of positive
-    offset; else the next direction is minus the normal of the least piece,
-    and its support point is inserted into that hull.  A support point
+    the raw pieces of one ``BeneathBeyond`` on the shifted points themselves,
+    no ``Polytope`` and no scaling, all of positive offset; else the next
+    direction is minus the normal of the least piece, and its support point
+    is inserted into that hull.  A support point
     already in the certificate is an ``InternalError``, so every round adds a
     Newton point and the rounds are bounded.
     Along the 2d coordinate axes the supports, the extreme exponents of each
@@ -230,11 +231,11 @@ def has_ip_property(w: WeightVector) -> bool:
                 return False
             add(p)
 
-    # one hull of 0 and the points from 0 and the pivot rows, scaled by d + 1
-    # so that the centroid of that simplex is integral; each round inserts
-    # one new support point, so the rounds are at most the Newton points
+    # one hull of 0 and the points, started from the simplex of 0 and the
+    # pivot rows; each round inserts one new support point, so the rounds are
+    # at most the Newton points
     start = [0, *(r + 1 for r in pivot_rows(reduced))]
-    hull = BeneathBeyond([tuple((d + 1) * x for x in p) for p in [(0,) * d, *points]], start)
+    hull = BeneathBeyond([(0,) * d, *points], start)
     while True:
         _, normal, offset = min(hull.pieces, key=lambda pc: (pc[2], pc[1]))
         if offset > 0:
@@ -243,7 +244,7 @@ def has_ip_property(w: WeightVector) -> bool:
         if h == 0:
             return False
         add(p)
-        hull.insert(tuple((d + 1) * x for x in p))
+        hull.insert(p)
 
 
 @dataclass(frozen=True)
@@ -410,7 +411,11 @@ def census_jobs(dim: int, flt: str = "all", jobs: int | None = None) -> int:
     if flt not in _FILTERS:
         raise ValueError(f"filter must be one of {_FILTERS}")
     if jobs is None:
-        jobs = int(os.environ.get("CYWPS_JOBS", "1"))
+        env = os.environ.get("CYWPS_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(f"CYWPS_JOBS must be an integer, got {env!r}") from None
     if jobs < 1:
         raise ValueError(f"census needs at least one worker, got {jobs}")
     return jobs

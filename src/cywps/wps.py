@@ -165,14 +165,15 @@ def mirror_lattice(w: WeightVector) -> MirrorLattice:
     return MirrorLattice(ws, gens, tuple(tuple(r) for r in tinv[1:]))
 
 
-def polar_vertices(w: WeightVector, lattice: MirrorLattice) -> list[tuple[int, ...]]:
+def polar_vertices(lattice: MirrorLattice) -> list[tuple[int, ...]]:
     """w_i * m_i in generator order, m_i the image of (w/w_i) e_i - (1, ..., 1):
     the vertices of the dual simplex, scaled to integers.  Pairing w_i * m_i
     with v_j reads off w * [i = j] - w_i, checked in integers, so m_i lies on
     the facet <., v_j> = -1 of every j != i and strictly inside that of i."""
+    ws, deg = lattice.weights, sum(lattice.weights)
     out = []
-    for i, wi in enumerate(w.weights):
-        u = [w.degree - wi if j == i else -wi for j in range(len(w.weights))]
+    for i, wi in enumerate(ws):
+        u = [deg - wi if j == i else -wi for j in range(len(ws))]
         out.append(lattice.m_coords(u))
         if any(sum(a * b for a, b in zip(out[-1], g)) != x for g, x in zip(lattice.generators, u)):
             raise InternalError("dual simplex facets must pair to -1 against the generators")
@@ -181,37 +182,38 @@ def polar_vertices(w: WeightVector, lattice: MirrorLattice) -> list[tuple[int, .
 
 def mirror_simplex(lattice: MirrorLattice) -> Polytope:
     """conv(v_0, ..., v_d), the mirror Newton polytope: the polar dual of ``dual_simplex``."""
-    return dual_polytope(dual_simplex(WeightVector(lattice.weights), lattice))
+    return dual_polytope(dual_simplex(lattice))
 
 
-def dual_simplex(w: WeightVector, lattice: MirrorLattice) -> Polytope:
+def dual_simplex(lattice: MirrorLattice) -> Polytope:
     """The rational simplex dual to the mirror simplex at level -1, built from
     the lattice pairing: its vertices are the m_i of ``polar_vertices`` and
     its facets are <., v_i> >= -1, the one of v_i through every m_j, j != i
     (Batyrev, "Dual polyhedra and mirror symmetry", 1994)."""
-    scaled = zip(polar_vertices(w, lattice), w.weights)
+    scaled = zip(polar_vertices(lattice), lattice.weights)
     verts = [tuple(as_exact(Fraction(x, wi)) for x in wm) for wm, wi in scaled]
     gens = lattice.generators
     facets = [Facet(g, 1, tuple(j for j in range(len(gens)) if j != i)) for i, g in enumerate(gens)]
-    return Polytope(w.dim, w.dim, verts, facets)
+    return Polytope(lattice.dim, lattice.dim, verts, facets)
 
 
-def newton_hull(w: WeightVector, lattice: MirrorLattice) -> Polytope:
+def newton_hull(lattice: MirrorLattice) -> Polytope:
     """Hull of the shifted Newton points in the dual-side coordinates.
 
-    This equals bracket(dual_simplex(w)); for IP vectors it is the canonical
-    Fano polytope whose spanning fan compactifies the mirror hypersurface.
+    This equals bracket(dual_simplex(lattice)); for IP vectors it is the
+    canonical Fano polytope whose spanning fan compactifies the mirror
+    hypersurface.
 
     Only exchange-free monomials are hulled: if u_i*w_i and u_j*w_j are both at
     least l = lcm(w_i, w_j) for some i != j, u is the midpoint of the degree-w
     monomials u +- (l/w_i*e_i - l/w_j*e_j), and so is its image under the linear
     m_coords.  No vertex is dropped, so the vertices and facets are unchanged.
     """
-    ws = w.weights
+    ws = lattice.weights
     pairs = [(i, j, lcm(ws[i], ws[j])) for j in range(len(ws)) for i in range(j)]
     pts = [
         lattice.m_coords([x - 1 for x in u])
-        for u in newton_points(w)
+        for u in newton_points(WeightVector(ws))
         if not any(u[i] * ws[i] >= l and u[j] * ws[j] >= l for i, j, l in pairs)
     ]
     return hull_with_faces(pts)

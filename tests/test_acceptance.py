@@ -140,7 +140,7 @@ def test_c02_verify_1_1_6_14_21():
         assert payload["chi_str_mirror"] == "506"
         assert payload["transverse"] is False
         w = WeightVector((1, 1, 6, 14, 21))
-        hull = newton_hull(w, mirror_lattice(w))
+        hull = newton_hull(mirror_lattice(w))
         assert stringy_reflexive(hull) == -504
     assert code == 0
     notes = " ".join(payload["notes"])
@@ -256,7 +256,7 @@ def test_c11_polytope_properties():
         for ws in ((1, 1, 2, 4, 5), (1, 1, 6, 14, 21)):
             w = WeightVector(ws)
             lat = mirror_lattice(w)
-            hull = bracket(dual_simplex(w, lat))
+            hull = bracket(dual_simplex(lat))
             flags = fano_classification(hull)
             assert flags.reflexive, ws
             reflexives.append(hull)
@@ -265,7 +265,7 @@ def test_c11_polytope_properties():
             assert not fano_classification(mirror_simplex(lat)).reflexive
         # degree-7 hypersurface weights: pseudoreflexive but not reflexive (d = 5)
         w7 = WeightVector((1, 1, 1, 1, 1, 2))
-        hull7 = bracket(dual_simplex(w7, mirror_lattice(w7)))
+        hull7 = bracket(dual_simplex(mirror_lattice(w7)))
         flags7 = fano_classification(hull7)
         assert flags7.pseudoreflexive and not flags7.reflexive
         # reflexive Gorenstein simplices

@@ -193,6 +193,13 @@ def test_census_refusal_keeps_existing_output(tmp_path, capsys, monkeypatch, arg
     assert path.read_text() == "kept\n"
 
 
+def test_census_names_a_malformed_jobs_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CYWPS_JOBS", "x")
+    code, out, err = run(capsys, "census", "--dim", "3", "--max-degree", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: CYWPS_JOBS must be an integer, got 'x'\n"
+
+
 def test_unwritable_census_output_is_refused_before_enumeration(tmp_path, capsys, monkeypatch):
     import cywps.quasismooth as qs
 

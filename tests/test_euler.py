@@ -167,16 +167,16 @@ def test_simplex_routes_build_no_hull_and_no_face_lattice(monkeypatch):
         calls.clear()
         assert stringy_polytope(lattice) == chi
         mirror_simplex(lattice)
-        dual_simplex(w, lattice)
+        dual_simplex(lattice)
         assert calls == []
 
 
 def test_stringy_reflexive_examples():
     w = WeightVector((1, 1, 6, 14, 21))
-    hull = newton_hull(w, mirror_lattice(w))
+    hull = newton_hull(mirror_lattice(w))
     assert stringy_reflexive(hull) == -504
     quintic = WeightVector((1, 1, 1, 1, 1))
-    assert stringy_reflexive(newton_hull(quintic, mirror_lattice(quintic))) == -200
+    assert stringy_reflexive(newton_hull(mirror_lattice(quintic))) == -200
     # any 2-dimensional reflexive polytope has an empty sum
     tri = hull_with_faces([(1, 0), (0, 1), (-1, -1)])
     assert stringy_reflexive(tri) == 0
@@ -264,7 +264,7 @@ def test_mirror_test_calabi_yau_note_iff_reflexive():
     vectors.append(WeightVector((1, 2, 2, 3, 3, 5)))
     for w in vectors:
         noted = any("Calabi-Yau" in note for note in mirror_test(w).notes)
-        assert noted == fano_classification(newton_hull(w, mirror_lattice(w))).reflexive
+        assert noted == fano_classification(newton_hull(mirror_lattice(w))).reflexive
 
 
 @settings(max_examples=40, deadline=None)
@@ -335,7 +335,7 @@ _D4_NONTRANSVERSE = sorted(kv for kv in nontransverse_ip().items() if kv[0].coun
 def test_pool_newton_hulls_reflexive_property(item):
     # Skarke: the Newton polytope of an IP weight system with d <= 4 is reflexive
     w = WeightVector.parse(item[0])
-    hull = newton_hull(w, mirror_lattice(w))
+    hull = newton_hull(mirror_lattice(w))
     assert all(f.offset == 1 for f in hull.facets)
     assert dual_polytope(dual_polytope(hull)) == hull
     chi = stringy_reflexive(hull)

@@ -27,7 +27,7 @@ from cywps.polytope import (
     lattice_points,
     normal_cone_section,
     normalized_volume,
-    simplex_volume,
+    simplex_index,
 )
 from cywps.wps import WeightVector, dual_simplex, mirror_lattice, mirror_simplex
 from conftest import (
@@ -70,7 +70,7 @@ def test_newton_hull_dimension():
     from cywps.wps import newton_hull
 
     w = WeightVector((1, 1, 6, 14, 21))
-    hull = newton_hull(w, mirror_lattice(w))
+    hull = newton_hull(mirror_lattice(w))
     assert hull.dim == 4
 
 
@@ -219,23 +219,49 @@ def _growing_hull_inputs(draw):
 def test_pencil_pieces_match_hyperplane_and_one_shot_hull(case):
     points, split = case
     k = len(points[0])
-    chosen = _affine_basis(points)
+    m, scaled = _cleared(points)
+    chosen = _affine_basis(scaled)
     if len(chosen) < k:
         return
-    m, scaled = _cleared(points, k + 1)
     first = max(split, chosen[-1] + 1)
     hull = BeneathBeyond(scaled[:first], [0, *chosen])
     for p in scaled[first:]:
         hull.insert(p)
+    start = [scaled[i] for i in (0, *chosen)]
+    centroid = tuple(Fraction(sum(c), k + 1) for c in zip(*start))
     merged = {}
     for vset, normal, offset in hull.pieces:
-        assert _hyperplane([hull.points[i] for i in sorted(vset)], hull.centre) == (normal, offset)
+        assert _hyperplane([hull.points[i] for i in sorted(vset)], centroid) == (normal, offset)
         merged.setdefault((normal, Fraction(offset, m)), set()).update(hull.points[i] for i in vset)
     poly = hull_with_faces(points)
     assert set(merged) == {(f.normal, f.offset) for f in poly.facets}
     for f in poly.facets:
         vertices = {tuple(m * x for x in poly.vertices[i]) for i in f.vertex_ids}
         assert vertices <= merged[f.normal, f.offset]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_growing_hull_inputs())
+@example(([(0, 0), (1, 0), (0, 1)], 3))  # centroid (1/3, 1/3)
+def test_start_simplex_needs_no_integral_centroid(case):
+    # each start piece is oriented by the vertex it omits, so the hull of the
+    # points as they are has the pieces of the hull of (k + 1) times them,
+    # whose start centroid is integral, with the offsets divided by k + 1
+    points, _ = case
+    k = len(points[0])
+    chosen = _affine_basis(points)
+    if len(chosen) < k:
+        return
+    start = [0, *chosen]
+    scaled = [tuple((k + 1) * x for x in p) for p in points]
+    pieces = BeneathBeyond(points, start).pieces
+    assert [(v, n, (k + 1) * o) for v, n, o in pieces] == BeneathBeyond(scaled, start).pieces
+
+
+def test_hull_refuses_points_without_coordinates():
+    for bad, message in (([()], "no coordinates"), ([(), ()], "no coordinates"), ([(1,), (1, 2)], "mixed")):
+        with pytest.raises(ValueError, match=message):
+            hull_with_faces(bad)
 
 
 def test_cross_polytope_dual_is_cube():
@@ -269,7 +295,7 @@ def test_dual_involution_and_hull_consistency():
 def test_dual_simplex_agrees_with_dual_polytope():
     w = WeightVector((1, 2, 3, 4, 5))
     lat = mirror_lattice(w)
-    assert dual_polytope(mirror_simplex(lat)) == dual_simplex(w, lat)
+    assert dual_polytope(mirror_simplex(lat)) == dual_simplex(lat)
 
 
 def test_lower_dimensional_chart():
@@ -292,16 +318,17 @@ def test_lower_dimensional_hull_sees_integers_only(monkeypatch):
     # the quadrilateral above, doubled to integer vertices: its projection
     # onto the chart coordinates hands the hull the input's own integers
     seen = []
-    hull = polytope._hull_full_dim
+    hull = polytope.BeneathBeyond
 
-    def spy(pts, chosen):
+    def spy(pts, start):
         seen.extend(pts)
-        return hull(pts, chosen)
+        return hull(pts, start)
 
-    monkeypatch.setattr(polytope, "_hull_full_dim", spy)
+    monkeypatch.setattr(polytope, "BeneathBeyond", spy)
     quad = hull_with_faces([(0, 0, 0, 0), (4, 0, 0, 0), (0, 3, 3, 0), (2, 2, 2, 0)])
     assert quad.dim == 2
     assert seen and all(type(x) is int for p in seen for x in p)
+    assert seen == [(0, 0), (4, 0), (0, 3), (2, 2)]
 
 
 def test_contains_rejects_a_point_of_the_wrong_dimension():
@@ -329,7 +356,7 @@ def test_lattice_points_thin_triangle():
 def test_lattice_points_cubic_dual_bijection():
     w = WeightVector((1, 1, 1))
     lat = mirror_lattice(w)
-    poly = dual_simplex(w, lat)
+    poly = dual_simplex(lat)
     assert len(lattice_points(poly)) == 10
 
 
@@ -339,7 +366,7 @@ def test_dual_simplex_lattice_points_match_box_scan():
         dim = rng.choice((2, 3))
         w = random_well_formed(rng, dim, 18)
         lat = mirror_lattice(w)
-        poly = dual_simplex(w, lat)
+        poly = dual_simplex(lat)
         fast = lattice_points(poly)
         box = [
             p
@@ -376,7 +403,8 @@ def rational_point_sets(draw, max_n=4):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_point_sets(), st.sampled_from((2, 3, Fraction(1, 2), Fraction(2, 3), Fraction(5, 3))))
+@given(rational_point_sets(), st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9))
+@example([(0, 0), (1, 0), (0, 1), (1, 1)], Fraction(5, 3))
 def test_hull_scaling_random(pts, q):
     poly = hull_with_faces(pts)
     big = hull_with_faces([tuple(q * x for x in p) for p in pts])
@@ -482,7 +510,7 @@ def volume_by_snf(poly, face):
     """Vol_k of a face by an independent route: coordinates of the cleared
     vertices in a basis of the saturated lattice of the face direction span,
     read off the reference Smith normal form of the tests, then one
-    determinant per simplex; it shares no code with ``simplex_volume``."""
+    determinant per simplex; it shares no code with ``simplex_index``."""
     if face.dim == 0:
         return Fraction(1)
     verts = [poly.vertices[i] for i in face.vertex_ids]
@@ -548,13 +576,14 @@ def test_oracles_do_not_run_on_the_kernel(monkeypatch):
 @example([(0, 0, 0), (0, 0, 0), (1, 2, 3), (2, 4, 6), (0, 1, 0)])
 def test_affine_basis_is_greedy_and_chart_lifts_hold(pts):
     diffs = [[x - b for x, b in zip(p, pts[0])] for p in pts]
-    chosen = _affine_basis(pts)
+    l, cleared = _cleared(pts)
+    chosen = _affine_basis(cleared)
     assert chosen == [
         i for i in range(1, len(pts)) if reference_rank(diffs[1 : i + 1]) > reference_rank(diffs[1:i])
     ]
     # the chart projects onto the first independent coordinates of the edges
     columns = list(zip(*(diffs[i] for i in chosen)))
-    coords, lifts = _chart(pts[0], [pts[i] for i in chosen])
+    coords, lifts = _chart(l, cleared[0], [cleared[i] for i in chosen])
     assert coords == [
         j for j in range(len(columns)) if reference_rank(columns[: j + 1]) > reference_rank(columns[:j])
     ]
@@ -587,13 +616,13 @@ def test_lattice_points_refuses_large_box():
     # 90,046 lattice points in a bounding box of 13,473,698 candidates
     w = WeightVector((1, 1, 1, 1, 2, 6, 24))
     with pytest.raises(EnumerationLimitError):
-        lattice_points(dual_simplex(w, mirror_lattice(w)))
+        lattice_points(dual_simplex(mirror_lattice(w)))
 
 
 def test_bracket_examples():
     w = WeightVector((1, 1, 1, 1, 1))
     lat = mirror_lattice(w)
-    dual = dual_simplex(w, lat)
+    dual = dual_simplex(lat)
     br = bracket(dual)
     assert br == dual  # Gorenstein: rational dual simplex is a lattice simplex
     # bracket is contained in the polytope and idempotent
@@ -637,8 +666,11 @@ def test_volume_scaling_rule():
         [(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]
     )
     assert normalized_volume(half) == Fraction(1, 4)
-    assert simplex_volume([(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))]) == Fraction(1, 4)
-    assert simplex_volume([(Fraction(1, 3), 2, 5)]) == 1
+    # two simplices of Vol_2 = 1/4 each, summed as integers and divided once
+    square = hull_with_faces([(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))])
+    assert face_volume(square, square.top_face) == Fraction(1, 2)
+    point = hull_with_faces([(Fraction(1, 3), 2, 5)])
+    assert face_volume(point, point.faces(0)[0]) == 1
 
 
 def test_fano_reflexive_triangle():
@@ -655,14 +687,14 @@ def test_fano_11245():
     assert flags.canonical
     assert not flags.reflexive
     assert flags.almost_pseudoreflexive
-    hull = bracket(dual_simplex(w, lat))
+    hull = bracket(dual_simplex(lat))
     assert fano_classification(hull).reflexive
 
 
 def test_fano_degree7_p111112():
     w = WeightVector((1, 1, 1, 1, 1, 2))
     lat = mirror_lattice(w)
-    hull = bracket(dual_simplex(w, lat))
+    hull = bracket(dual_simplex(lat))
     flags = fano_classification(hull)
     assert flags.pseudoreflexive
     assert not flags.reflexive
@@ -732,7 +764,8 @@ def test_simplex_sections_match_hull_oracle(w):
         for face in faces:
             polar = [poly.facets[j].polar_vertex() for j in face.facet_ids]
             oracle = normalized_volume(normal_cone_section(poly, face))
-            assert simplex_volume([zero, *polar]) == oracle
+            l, cleared = _cleared([zero, *polar])
+            assert Fraction(simplex_index(cleared), l ** len(polar)) == oracle
 
 
 def test_interior_lattice_points():

@@ -108,7 +108,7 @@ def test_dual_simplex_pairing_fault_is_an_internal_error():
     lattice = mirror_lattice(w)
     negated = tuple(tuple(-x for x in g) for g in lattice.generators)
     with pytest.raises(InternalError, match="pair to -1"):
-        dual_simplex(w, dataclasses.replace(lattice, generators=negated))
+        dual_simplex(dataclasses.replace(lattice, generators=negated))
 
 
 def _same_polytope(built, oracle):
@@ -136,7 +136,7 @@ def test_simplex_pair_matches_hull_oracle(w):
     # the hull is the oracle: both simplices are built from the lattice pairing
     lat = mirror_lattice(w)
     _same_polytope(mirror_simplex(lat), hull_with_faces(lat.generators))
-    dual = dual_simplex(w, lat)
+    dual = dual_simplex(lat)
     _same_polytope(dual, hull_with_faces(dual.vertices))
 
 
@@ -149,7 +149,7 @@ def test_quintic_simplex_volume_by_determinant():
 
 def test_dual_simplex_triangle():
     w = WeightVector((1, 1, 1))
-    poly = dual_simplex(w, mirror_lattice(w))
+    poly = dual_simplex(mirror_lattice(w))
     assert set(poly.vertices) == {(2, -1), (-1, 2), (-1, -1)}
     assert poly.contains((0, 0), strict=True)
 
@@ -157,7 +157,7 @@ def test_dual_simplex_triangle():
 def test_dual_simplex_contains_newton_hull():
     w = WeightVector((1, 1, 2, 4, 5))
     lat = mirror_lattice(w)
-    poly = dual_simplex(w, lat)
+    poly = dual_simplex(lat)
     for u in newton_points(w):
         assert poly.contains(lat.m_coords([x - 1 for x in u]))
 
@@ -214,7 +214,7 @@ def test_dual_simplex_lattice_points_match_newton_points(ws):
     assume(weight_flags(w)[0])
     lat = mirror_lattice(w)
     images = sorted(lat.m_coords([x - 1 for x in u]) for u in newton_points(w))
-    assert lattice_points(dual_simplex(w, lat)) == images
+    assert lattice_points(dual_simplex(lat)) == images
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,16 +227,16 @@ def test_newton_hull_matches_hull_of_all_monomials(ws):
     assume(weight_flags(w)[0])
     lat = mirror_lattice(w)
     full = hull_with_faces(lat.m_coords([x - 1 for x in u]) for u in newton_points(w))
-    hull = newton_hull(w, lat)
+    hull = newton_hull(lat)
     assert hull.vertices == full.vertices
     assert [(f.normal, f.offset) for f in hull.facets] == [(f.normal, f.offset) for f in full.facets]
 
 
 def test_newton_hull_d6():
-    # bracket(dual_simplex(w)) refuses this one: its box has 13.5 M candidates
+    # bracket(dual_simplex(lat)) refuses this one: its box has 13.5 M candidates
     w = WeightVector((1, 1, 1, 1, 2, 6, 24))
     lat = mirror_lattice(w)
-    hull = newton_hull(w, lat)
+    hull = newton_hull(lat)
     assert (len(hull.vertices), len(hull.facets)) == (12, 8)
     pts = newton_points(w)
     assert len(pts) == 90_046
