@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 internal inconsistency detected by ``verify``
 (Euler-number methods disagree), 2 usage or parse errors and unwritable
 output paths, 3 domain errors (e.g. ``stringy`` without the IP-property),
 4 enumeration limit exceeded, 5 a failed mathematical invariant
-(``InternalError``: a fault in cywps, never bad input).
+(``InternalError``: a fault in cywps, never bad input), 141 stdout closed
+by its reader (128 + SIGPIPE, as a shell reports a producer that signal
+ended).
 """
 
 from __future__ import annotations
@@ -214,7 +216,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader is gone (e.g. ``| head``): end quietly, with stdout on
+        # devnull so that the interpreter's exit flush cannot raise again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no stdout, or one without a descriptor
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

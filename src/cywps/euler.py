@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -210,8 +209,7 @@ def k3_identity(delta: Polytope) -> Fraction:
     return Fraction(24) - rhs
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(NamedTuple):
     """Aggregated results of the mirror test for one weight vector."""
 
     weights: tuple[int, ...]
@@ -224,7 +222,7 @@ class EulerReport:
     chi_str_mirror: Fraction | None
     integral: bool
     methods_agree: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {

@@ -7,25 +7,33 @@ the basis normalization in wps.mirror_lattice makes it read
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import format_rational
 from .wps import WeightVector, mirror_lattice
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
-    """Terms (coefficient, exponent vector); exponents pairwise distinct."""
-
+class _Terms(NamedTuple):
     terms: tuple[tuple[Fraction | int, tuple[int, ...]], ...]
 
-    def __post_init__(self):
-        exps = [e for _, e in self.terms]
+
+class LaurentPolynomial(_Terms):
+    """Terms (coefficient, exponent vector); exponents pairwise distinct."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms) -> "LaurentPolynomial":
+        exps = [e for _, e in terms]
         if len(set(exps)) != len(exps):
             raise ValueError("exponent vectors must be pairwise distinct")
-        if any(c == 0 for c, _ in self.terms):
+        if any(c == 0 for c, _ in terms):
             raise ValueError("coefficients must be nonzero")
+        return super().__new__(cls, terms)
+
+    @classmethod
+    def _make(cls, iterable) -> "LaurentPolynomial":
+        return cls(*iterable)  # so that ``_replace`` checks the new terms too
 
     def exponents(self) -> tuple[tuple[int, ...], ...]:
         return tuple(e for _, e in self.terms)

@@ -46,7 +46,6 @@ face lattice, divided once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -80,8 +79,7 @@ def origin(n: int) -> Point:
     return (0,) * n
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """Supporting halfspace <normal, x> >= -offset together with its vertex set."""
 
     normal: tuple[int, ...]
@@ -94,8 +92,7 @@ class Facet:
         return tuple(as_exact(Fraction(c * off.denominator, off.numerator)) for c in self.normal)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     dim: int
     vertex_ids: tuple[int, ...]
     facet_ids: tuple[int, ...]

@@ -45,11 +45,9 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from multiprocessing import Pool
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InternalError
 from .exact import format_rational, hermite, pivot_rows
@@ -247,8 +245,7 @@ def has_ip_property(w: WeightVector) -> bool:
         hull.insert(p)
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     degree: int
     weights: tuple[int, ...]
     transverse: bool
@@ -436,6 +433,8 @@ def census(
     tasks = [(dim, n, flt) for n in range(max_degree, dim, -1)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from multiprocessing import Pool  # here, so a one-worker process never loads it
+
         with Pool(workers) as pool:
             chunks = pool.map(_census_degree, tasks, chunksize=4)
     else:

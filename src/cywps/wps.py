@@ -10,9 +10,9 @@ generators v_0, ..., v_d satisfying sum(w_i v_i) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .errors import EnumerationLimitError, InternalError, NotWellFormedError
 from .exact import as_exact, gcd_fold, hermite
@@ -22,19 +22,27 @@ NEWTON_POINT_LIMIT = 10_000_000
 WEIGHT_COUNT_LIMIT = 16  # every Euler route and the transversality test run 2^(d+1) subsets
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Tuple of d+1 positive integer weights with degree w = sum of weights."""
-
+class _Weights(NamedTuple):
     weights: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.weights) < 3:
+
+class WeightVector(_Weights):
+    """Tuple of d+1 positive integer weights with degree w = sum of weights."""
+
+    __slots__ = ()
+
+    def __new__(cls, weights: tuple[int, ...]) -> "WeightVector":
+        if len(weights) < 3:
             raise ValueError("need at least three weights (d >= 2)")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
-        if len(self.weights) > WEIGHT_COUNT_LIMIT:
+        if len(weights) > WEIGHT_COUNT_LIMIT:
             raise EnumerationLimitError(f"more than {WEIGHT_COUNT_LIMIT} weights exceed the limit")
+        return super().__new__(cls, weights)
+
+    @classmethod
+    def _make(cls, iterable) -> "WeightVector":
+        return cls(*iterable)  # so that ``_replace`` checks the new weights too
 
     @classmethod
     def parse(cls, text: str) -> "WeightVector":
@@ -120,14 +128,13 @@ def newton_points(w: WeightVector) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class MirrorLattice:
+class MirrorLattice(NamedTuple):
     """Generators v_0..v_d of N = Z^{d+1}/Z*w in a chosen basis, plus the map
     sending a vector of Z^{d+1} orthogonal to w to its dual-side coordinates."""
 
     weights: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    _dual_rows: tuple[tuple[int, ...], ...]  # rows 1..d of the basis change
+    dual_rows: tuple[tuple[int, ...], ...]  # rows 1..d of the basis change
 
     @property
     def dim(self) -> int:
@@ -136,7 +143,7 @@ class MirrorLattice:
     def m_coords(self, u):
         """Coordinates of u (with sum(w_i u_i) = 0) in the dual basis, so that
         pairing with v_i reads off u_i."""
-        return tuple(sum(r * x for r, x in zip(row, u)) for row in self._dual_rows)
+        return tuple(sum(r * x for r, x in zip(row, u)) for row in self.dual_rows)
 
 
 def mirror_lattice(w: WeightVector) -> MirrorLattice:

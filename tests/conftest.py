@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from cywps.quasismooth import has_ip_property, iter_weight_partitions
@@ -12,6 +13,10 @@ from cywps.wps import WeightVector, subset_gcd, weight_flags
 
 IP_POOL_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "ip_pool.json")
 NONTRANSVERSE_IP_PATH = os.path.join(os.path.dirname(__file__), "data", "nontransverse_ip.json")
+
+# ``pytest --hypothesis-profile=timing``: every run draws the same examples, so
+# tier-1 wall times of two trees can be compared; the default profile is unchanged
+settings.register_profile("timing", derandomize=True, database=None)
 
 
 def ip_pool() -> dict[str, str]:

@@ -1,5 +1,9 @@
+import errno
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -9,10 +13,19 @@ from cywps.cli import main
 from conftest import fake_mirror_generators
 
 
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*argv, **kwargs):
+    """A fresh interpreter that imports cywps from this checkout."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.Popen([sys.executable, *argv], env=env, **kwargs)
 
 
 def test_verify_json(capsys):
@@ -96,16 +109,14 @@ def test_census_jobs_deterministic(capsys):
 
 
 def test_census_jobs_from_environment(capsys, monkeypatch):
-    import cywps.quasismooth as qs
-
     sizes = []
 
     def spy_pool(processes):
         sizes.append(processes)
         return real_pool(processes)
 
-    real_pool = qs.Pool
-    monkeypatch.setattr(qs, "Pool", spy_pool)
+    real_pool = multiprocessing.Pool
+    monkeypatch.setattr(multiprocessing, "Pool", spy_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the worker cap must not bind here
     argv = ("census", "--dim", "2", "--max-degree", "30", "--filter", "all")
     _, serial, _ = run(capsys, *argv, "--jobs", "1")
@@ -118,8 +129,6 @@ def test_census_jobs_from_environment(capsys, monkeypatch):
 @pytest.mark.parametrize("cpus, sizes", [(8, [8]), (64, [28]), (None, [])])
 def test_census_workers_are_bounded(capsys, monkeypatch, cpus, sizes):
     # min(jobs, degrees, CPUs) workers; the fake pool starts no process
-    import cywps.quasismooth as qs
-
     asked = []
 
     class SerialPool:
@@ -135,7 +144,7 @@ def test_census_workers_are_bounded(capsys, monkeypatch, cpus, sizes):
         def map(self, fn, tasks, chunksize=1):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(qs, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     argv = ("census", "--dim", "2", "--max-degree", "30", "--filter", "all")  # 28 degrees
     _, serial, _ = run(capsys, *argv, "--jobs", "1")
@@ -356,11 +365,35 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
 
 
 def test_other_os_errors_are_not_usage_errors(monkeypatch):
-    # e.g. a worker pool that cannot start, or a closed stdout pipe: an
-    # environment failure propagates instead of exiting 2
+    # e.g. a worker pool that cannot start: an environment failure
+    # propagates instead of exiting 2
     def fail(*args):
-        raise BrokenPipeError("stdout closed")
+        raise OSError(errno.EMFILE, "Too many open files")
 
     monkeypatch.setattr(cli, "census_tsv", fail)
-    with pytest.raises(BrokenPipeError):
+    with pytest.raises(OSError, match="Too many open files"):
         main(["census", "--dim", "2", "--max-degree", "10"])
+
+
+def test_closed_stdout_is_a_quiet_exit_141():
+    # 79 KB of TSV, more than a pipe holds: the writer meets the closed end
+    argv = ("census", "--dim", "3", "--max-degree", "40", "--filter", "all")
+    proc = python("-m", "cywps.cli", *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"# dim=3 max_degree=40")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err
+
+
+def test_cli_start_loads_no_pool_or_dataclass_machinery():
+    # every cywps call is a fresh process, so what the CLI imports is paid per
+    # call: the pool loads only when census workers start, and no record is a
+    # dataclass (dataclasses imports inspect, ast, dis and tokenize)
+    probe = (
+        "import sys, cywps.cli; cywps.cli.build_parser(); "
+        "print(sorted({'multiprocessing', 'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    proc = python("-c", probe, stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (0, "[]\n")

@@ -62,3 +62,5 @@ def test_laurent_invariants():
         LaurentPolynomial(((1, (0, 1)), (2, (0, 1))))
     with pytest.raises(ValueError):
         LaurentPolynomial(((0, (0, 1)),))
+    with pytest.raises(ValueError):  # _replace builds through the same checks
+        LaurentPolynomial(((1, (0, 1)),))._replace(terms=((0, (0, 1)),))

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -33,6 +32,8 @@ def test_parse():
     assert WeightVector.parse(",".join(["1"] * WEIGHT_COUNT_LIMIT)).dim == WEIGHT_COUNT_LIMIT - 1
     with pytest.raises(EnumerationLimitError, match="limit"):
         WeightVector.parse(",".join(["1"] * (WEIGHT_COUNT_LIMIT + 1)))
+    with pytest.raises(ValueError):  # _replace builds through the same checks
+        WeightVector((1, 2, 3))._replace(weights=(0, 1, 2))
 
 
 def test_weight_flags_examples():
@@ -108,7 +109,7 @@ def test_dual_simplex_pairing_fault_is_an_internal_error():
     lattice = mirror_lattice(w)
     negated = tuple(tuple(-x for x in g) for g in lattice.generators)
     with pytest.raises(InternalError, match="pair to -1"):
-        dual_simplex(dataclasses.replace(lattice, generators=negated))
+        dual_simplex(lattice._replace(generators=negated))
 
 
 def _same_polytope(built, oracle):
