@@ -30,7 +30,6 @@ from .polytope import (
     fano_classification,
     hull_with_faces,
     lattice_points,
-    normal_cone_section,
     normalized_volume,
 )
 from .quasismooth import CensusRecord, census, census_tsv, has_ip_property, is_transverse
@@ -78,7 +77,6 @@ __all__ = [
     "mirror_test",
     "newton_hull",
     "newton_points",
-    "normal_cone_section",
     "normalized_volume",
     "stringy_mirror_closed",
     "stringy_polytope",

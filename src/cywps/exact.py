@@ -7,14 +7,14 @@ denominator >= 1), and a matrix is a plain list of rows (``list[list[int]]``
 for the integer routines).
 
 There is one elimination kernel, the unimodular column reduction ``hermite``:
-2 x 2 column steps of determinant 1, with the transform and its inverse kept
-on request.  Every other routine is a reading of it.  Over Z: determinants,
-primitive kernel vectors, simplex volumes (the gcd of the maximal minors of
-the edges), the mirror lattice's basis, the unimodular inverse and the Smith
-normal form.  Over Q, on rows cleared of their denominators: the rank is the
-number of rows that take a pivot, a nullspace basis is the transform's
-columns past the rank, and a solution of A x = b is a kernel vector of
-[A | -b].  ``Fraction`` appears only in results.
+Euclid's algorithm on each row by column steps of determinant 1, with the
+transform and its inverse kept on request.  Every other routine is a reading
+of it.  Over Z: determinants, primitive kernel vectors, simplex volumes (the
+gcd of the maximal minors of the edges), the mirror lattice's basis, the
+unimodular inverse and the Smith normal form.  Over Q, on rows cleared of
+their denominators: the rank is the number of rows that take a pivot, a
+nullspace basis is the transform's columns past the rank, and a solution of
+A x = b is a kernel vector of [A | -b].  ``Fraction`` appears only in results.
 """
 
 from __future__ import annotations
@@ -60,30 +60,22 @@ def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g = +-gcd(a, b), and (a, 1, 0) when a | b."""
-    if a and b % a == 0:
-        return a, 1, 0
-    g = math.gcd(a, b)
-    x = pow(a // g, -1, abs(b // g))
-    return g, x, (g - x * a) // b
-
-
 def hermite(
     rows: Sequence[Sequence[int]], transform: bool = False, inverse: bool = False
 ) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]] | None]:
     """Unimodular column reduction of a k x n integer matrix A.
 
     Returns ``(h, t, tinv)``: h = A t in column echelon form, t unimodular and
-    tinv = t^-1, both None unless asked for.  Row by row, each entry b right of
-    the pivot a in column c is cleared by the column step of determinant 1
-    (col_c, col_j) -> (x col_c + y col_j, (a/g) col_j - (b/g) col_c), with
-    x a + y b = g, a plain subtraction of (b/a) col_c when a | b; its inverse
-    is explicit, so tinv costs no elimination.  A row whose pivot stays 0
-    takes no column.  The steps keep the gcd of the k x k minors
-    (Cauchy-Binet), so for k <= n it is |prod h_ii|: Cohen, GTM 138, 2.4.
-    The columns of t past the last nonzero column of h are a basis of the
-    integer kernel {x in Z^n : A x = 0}, each one primitive.
+    tinv = t^-1, both None unless asked for.  Row by row, Euclid's algorithm runs
+    on the entries from the pivot column c on: the swap (col_c, col_p) -> (col_p,
+    -col_c) moves the least nonzero one a into column c, and col_j -= round(b/a)
+    col_c cuts each later entry b to its nearest remainder, until the row is zero
+    from c on (no pivot) or nonzero only in column c (its pivot).  Each step has
+    determinant 1 and an elementary inverse, so tinv costs no elimination; the
+    steps keep the gcd of the k x k minors (Cauchy-Binet), so for k <= n it is
+    |prod h_ii|: Cohen, GTM 138, 2.4.  Remainders of at most |a|/2 keep t small.
+    The columns of t past the last nonzero column of h are a basis of the integer
+    kernel {x in Z^n : A x = 0}, each one primitive.
     """
     n = len(rows[0]) if rows else 0
     h = [list(r) for r in rows]
@@ -91,17 +83,28 @@ def hermite(
     tinv_t = _identity(n) if inverse else []  # transposed, so its row steps are column steps
     c = 0
     for r in range(len(h)):
-        for j in range(c + 1, n):
-            a, b = h[r][c], h[r][j]
-            if b:
-                g, x, y = _xgcd(a, b)
-                p, s = a // g, b // g
-                for row in h[r:] + t:  # rows above r vanish from column c on
-                    row[c], row[j] = x * row[c] + y * row[j], p * row[j] - s * row[c]
-                for row in tinv_t:
-                    row[c], row[j] = p * row[c] + s * row[j], x * row[j] - y * row[c]
-        if c < n and h[r][c]:
-            c += 1
+        pivot_row, live = h[r], h[r:] + t  # rows above r vanish from column c on
+        while c < n:
+            p, least = c, 0
+            for j in range(c, n):
+                x = abs(pivot_row[j])
+                if x and (x < least or not least):
+                    p, least = j, x
+            if not least:
+                break
+            if p != c:  # the swap is its own inverse transpose
+                for row in live + tinv_t:
+                    row[c], row[p] = row[p], -row[c]
+            for j in range(c + 1, n):
+                if pivot_row[j]:  # q = floor(b / a + 1/2) for b, a = row[j], row[c]
+                    q = (2 * pivot_row[j] + pivot_row[c]) // (2 * pivot_row[c])
+                    for row in live:
+                        row[j] -= q * row[c]
+                    for row in tinv_t:
+                        row[c] += q * row[j]
+            if not any(pivot_row[c + 1 :]):
+                c += 1
+                break
     return h, t if transform else None, _transpose(tinv_t) if inverse else None
 
 

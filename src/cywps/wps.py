@@ -149,13 +149,14 @@ class MirrorLattice(NamedTuple):
 def mirror_lattice(w: WeightVector) -> MirrorLattice:
     """Present Z^{d+1}/Z*w by one unimodular column reduction of the weight row.
 
-    ``hermite`` gives w t = (1, 0, ..., 0) (w is primitive), so u -> u t maps
-    Z*w onto Z*e_0 and the rows of t without their first entry are the v_i.
-    Row 0 of t^-1 is w, so on w-perp its rows 1..d are coordinates in which
-    pairing with v_i reads off u_i.  For w_0 = 1 every step is a plain column
-    subtraction, t has columns e_0 and e_j - w_j e_0, and v_i = e_i (i >= 1),
-    v_0 = -(w_1, ..., w_d).  Fails on non-well-formed vectors, whose generator
-    images are not all primitive.
+    ``hermite`` gives w t = (+-1, 0, ..., 0) (w is primitive), so u -> u t
+    maps Z*w onto Z*e_0 and the rows of t without their first entry are the
+    v_i, kept short by its nearest remainders.  Row 0 of t^-1 is +-w, so on
+    w-perp its rows 1..d are coordinates in which pairing with v_i reads off
+    u_i.  For w_0 = 1 every step is a plain column subtraction, t has columns
+    e_0 and e_j - w_j e_0, and v_i = e_i (i >= 1), v_0 = -(w_1, ..., w_d).
+    Fails on non-well-formed vectors, whose generator images are not all
+    primitive.
     """
     if not weight_flags(w)[0]:
         raise NotWellFormedError(f"weight vector {w} is not well-formed")

@@ -210,7 +210,7 @@ def test_c06_mirror_theorem_d4_census(d4_census):
 
 
 def test_c07_k3_suite(k3_weight_vectors):
-    with Budget("C7", 120.0):
+    with Budget("C7", 10.0):
         assert len(k3_weight_vectors) == 95
         for w in k3_weight_vectors:
             assert stringy_mirror_closed(w) == 24, w

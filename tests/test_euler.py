@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cywps import euler, polytope, quasismooth
@@ -19,7 +19,7 @@ from cywps.euler import (
 )
 from cywps.exact import format_rational
 from cywps.polytope import dual_polytope, fano_classification, hull_with_faces
-from cywps.quasismooth import census, has_ip_property, is_transverse
+from cywps.quasismooth import census, has_ip_property, is_transverse, transverse_candidates
 from cywps.wps import (
     WeightVector,
     dual_simplex,
@@ -281,6 +281,31 @@ def test_mirror_test_sign_relation_property(drawn):
     assert report.methods_agree
     assert report.chi_str_mirror == (-1) ** (w.dim - 1) * report.chi_orb_formula
     assert chi_orb is None or format_rational(report.chi_orb_formula) == chi_orb
+
+
+_HIGH_DIM_MAX_DEGREE = {5: 60, 6: 40, 7: 30}
+
+
+@st.composite
+def high_dim_transverse_vectors(draw):
+    """Sorted transverse weight vectors with d = 5-7; those with w_0 != 1 get
+    a mirror basis that takes the column reduction's swaps."""
+    dim = draw(st.sampled_from(sorted(_HIGH_DIM_MAX_DEGREE)))
+    degree = draw(st.integers(dim + 1, _HIGH_DIM_MAX_DEGREE[dim]))
+    found = [w for w in map(WeightVector, transverse_candidates(dim, degree)) if is_transverse(w)]
+    assume(found)
+    return draw(st.sampled_from(found))
+
+
+@settings(max_examples=30, deadline=None)
+@given(high_dim_transverse_vectors())
+@example(WeightVector((2, 2, 2, 2, 3, 3)))
+@example(WeightVector((2, 2, 2, 2, 2, 2, 3, 3)))
+def test_mirror_test_sign_relation_beyond_d4(w):
+    report = mirror_test(w)
+    assert report.methods_agree
+    assert report.chi_orb_formula.denominator == 1
+    assert report.chi_str_mirror == (-1) ** (w.dim - 1) * report.chi_orb_formula
 
 
 def test_mirror_test_non_well_formed():

@@ -390,18 +390,21 @@ def scan_transverse_candidates(dim, degree):
     return sorted(found, key=lambda t: t[::-1], reverse=True)
 
 
-_SCAN_MAX_DEGREE = {1: 200, 2: 6000, 3: 2500, 4: 1500}
+_SCAN_MAX_DEGREE = {1: 200, 2: 6000, 3: 2500, 4: 1500, 5: 400, 6: 50, 7: 40}
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(
-    st.sampled_from((1, 2, 3, 4)).flatmap(
+    st.sampled_from(sorted(_SCAN_MAX_DEGREE)).flatmap(
         lambda d: st.tuples(st.just(d), st.integers(d + 1, _SCAN_MAX_DEGREE[d]))
     )
 )
 # the d = 2 top level has a = 0, where the pointer at r leaves the block unsolved
 @example((2, 3237))
 @example((4, 2000))
+@example((5, 400))
+@example((6, 50))
+@example((7, 40))
 def test_transverse_candidates_match_scan_oracle(case):
     dim, degree = case
     candidates = transverse_candidates(dim, degree)

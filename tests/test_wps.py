@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cywps.errors import EnumerationLimitError, InternalError, NotWellFormedError
-from cywps.polytope import hull_with_faces, lattice_points
+from cywps.polytope import FanoFlags, fano_classification, hull_with_faces, lattice_points
 from cywps.wps import (
     WEIGHT_COUNT_LIMIT,
     WeightVector,
@@ -146,6 +147,26 @@ def test_quintic_simplex_volume_by_determinant():
     v0 = lat.generators[0]
     rows = [[x - y for x, y in zip(v, v0)] for v in lat.generators[1:]]
     assert abs(reference_det(rows)) == 5
+
+
+def _scan_box(p):
+    """Candidates of the bounding box that ``lattice_points`` scans on a
+    full-dimensional polytope."""
+    assert p.is_full_dimensional
+    lows = (math.ceil(min(v[j] for v in p.vertices)) for j in range(p.ambient_dim))
+    highs = (math.floor(max(v[j] for v in p.vertices)) for j in range(p.ambient_dim))
+    return math.prod(max(h - l + 1, 0) for l, h in zip(lows, highs))
+
+
+def test_mirror_basis_keeps_lattice_scans_small(k3_weight_vectors):
+    # an unreduced basis gave (21,24,25,30,50) the generator (-8,-175,-3570,-5950),
+    # a scan box of 3.8e11 and a K3 box total of 3,116,759
+    simplex = mirror_simplex(mirror_lattice(WeightVector((21, 24, 25, 30, 50))))
+    flags = FanoFlags(canonical=True, reflexive=False, pseudoreflexive=False, almost_pseudoreflexive=True)
+    assert fano_classification(simplex) == flags
+    lattices = [mirror_lattice(w) for w in k3_weight_vectors]
+    total = sum(_scan_box(mirror_simplex(lat)) + _scan_box(dual_simplex(lat)) for lat in lattices)
+    assert total <= 46_074  # the total before the mirror basis was read off hermite
 
 
 def test_dual_simplex_triangle():
