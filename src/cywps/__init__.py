@@ -20,7 +20,7 @@ from .euler import (
     vafa_double_sum,
     vafa_subset_sum,
 )
-from .exact import format_rational, gcd_fold
+from .exact import format_rational
 from .mirror import LaurentPolynomial, ghv_polynomial
 from .polytope import (
     Polytope,
@@ -65,7 +65,6 @@ __all__ = [
     "face_volume",
     "fano_classification",
     "format_rational",
-    "gcd_fold",
     "ghv_polynomial",
     "has_ip_property",
     "hull_with_faces",

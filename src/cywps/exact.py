@@ -8,28 +8,21 @@ for the integer routines).
 
 There is one elimination kernel, the unimodular column reduction ``hermite``:
 Euclid's algorithm on each row by column steps of determinant 1, with the
-transform and its inverse kept on request.  Every other routine is a reading
-of it.  Over Z: determinants, primitive kernel vectors, simplex volumes (the
-gcd of the maximal minors of the edges), the mirror lattice's basis, the
-unimodular inverse and the Smith normal form.  Over Q, on rows cleared of
-their denominators: the rank is the number of rows that take a pivot, a
-nullspace basis is the transform's columns past the rank, and a solution of
-A x = b is a kernel vector of [A | -b].  ``Fraction`` appears only in results.
+transform kept on request.  Every other routine is a reading of it.  Over Z:
+determinants, primitive kernel vectors, simplex volumes (the gcd of the
+maximal minors of the edges), the mirror lattice's basis, the unimodular
+inverse (the transform's inverse is one) and the Smith normal form.  Over Q,
+on rows cleared of their denominators: the rank is the number of rows that
+take a pivot, a nullspace basis is the transform's columns past the rank, and
+a solution of A x = b is a kernel vector of [A | -b].  ``Fraction`` appears
+only in results.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-
-def gcd_fold(seed: int, extras: Iterable[int]) -> int:
-    """gcd of ``seed`` and all ``extras``; the empty fold returns ``seed``."""
-    g = seed
-    for x in extras:
-        g = math.gcd(g, x)
-    return g
+from typing import Sequence
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -61,26 +54,25 @@ def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
 
 
 def hermite(
-    rows: Sequence[Sequence[int]], transform: bool = False, inverse: bool = False
-) -> tuple[list[list[int]], list[list[int]] | None, list[list[int]] | None]:
+    rows: Sequence[Sequence[int]], transform: bool = False
+) -> tuple[list[list[int]], list[list[int]] | None]:
     """Unimodular column reduction of a k x n integer matrix A.
 
-    Returns ``(h, t, tinv)``: h = A t in column echelon form, t unimodular and
-    tinv = t^-1, both None unless asked for.  Row by row, Euclid's algorithm runs
-    on the entries from the pivot column c on: the swap (col_c, col_p) -> (col_p,
-    -col_c) moves the least nonzero one a into column c, and col_j -= round(b/a)
-    col_c cuts each later entry b to its nearest remainder, until the row is zero
-    from c on (no pivot) or nonzero only in column c (its pivot).  Each step has
-    determinant 1 and an elementary inverse, so tinv costs no elimination; the
-    steps keep the gcd of the k x k minors (Cauchy-Binet), so for k <= n it is
-    |prod h_ii|: Cohen, GTM 138, 2.4.  Remainders of at most |a|/2 keep t small.
-    The columns of t past the last nonzero column of h are a basis of the integer
-    kernel {x in Z^n : A x = 0}, each one primitive.
+    Returns ``(h, t)``: h = A t in column echelon form and t unimodular, None
+    unless asked for.  Row by row, Euclid's algorithm runs on the entries from
+    the pivot column c on: the swap (col_c, col_p) -> (col_p, -col_c) moves the
+    least nonzero one a into column c, and col_j -= round(b/a) col_c cuts each
+    later entry b to its nearest remainder, until the row is zero from c on (no
+    pivot) or nonzero only in column c (its pivot).  Each step has determinant
+    1, so the steps keep the gcd of the k x k minors (Cauchy-Binet), and for
+    k <= n it is |prod h_ii|: Cohen, GTM 138, 2.4.  Remainders of at most |a|/2
+    keep t small.  The columns of t past the last nonzero column of h are a
+    basis of the integer kernel {x in Z^n : A x = 0}, each one primitive.
+    t^-1 is a reading of t, ``unimodular_inverse``.
     """
     n = len(rows[0]) if rows else 0
     h = [list(r) for r in rows]
     t = _identity(n) if transform else []
-    tinv_t = _identity(n) if inverse else []  # transposed, so its row steps are column steps
     c = 0
     for r in range(len(h)):
         pivot_row, live = h[r], h[r:] + t  # rows above r vanish from column c on
@@ -92,20 +84,18 @@ def hermite(
                     p, least = j, x
             if not least:
                 break
-            if p != c:  # the swap is its own inverse transpose
-                for row in live + tinv_t:
+            if p != c:
+                for row in live:
                     row[c], row[p] = row[p], -row[c]
             for j in range(c + 1, n):
                 if pivot_row[j]:  # q = floor(b / a + 1/2) for b, a = row[j], row[c]
                     q = (2 * pivot_row[j] + pivot_row[c]) // (2 * pivot_row[c])
                     for row in live:
                         row[j] -= q * row[c]
-                    for row in tinv_t:
-                        row[c] += q * row[j]
             if not any(pivot_row[c + 1 :]):
                 c += 1
                 break
-    return h, t if transform else None, _transpose(tinv_t) if inverse else None
+    return h, t if transform else None
 
 
 def smith_normal_form(
@@ -113,41 +103,42 @@ def smith_normal_form(
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Decompose ``a = U S V`` with U, V unimodular and S diagonal, d1 | d2 | ...
 
-    ``hermite`` passes on S and on S^T alternate until S is diagonal.  This
-    terminates: after two passes on a nonzero S the pivot S_00 is nonzero, and
-    each pass replaces it by a divisor, the gcd of its row or column; when it
-    divides that line, the pass only subtracts multiples of it, and its row and
-    column end clear and stay clear.  So |S_00| falls finitely often, then the
-    passes act on S[1:, 1:].  A d_i that does not divide a later d_j (0 divides
-    only 0) gets row j added to its row; the next pass makes d_i gcd(d_i, d_j),
-    a proper divisor, and keeps the entries before it, so this too repeats
-    finitely often.  Signs are fixed last.  Deterministic for a fixed input.
+    ``hermite`` passes on S and on S^T alternate until S is diagonal, and
+    U^-1 a V^-1 = S holds throughout: a pass on S with transform t is
+    V^-1 -> V^-1 t, one on S^T is U^-1 -> t^T U^-1.  This terminates: after
+    two passes on a nonzero S the pivot S_00 is nonzero, and each pass
+    replaces it by a divisor, the gcd of its row or column; when it divides
+    that line, the pass only subtracts multiples of it, and its row and column
+    end clear and stay clear.  So |S_00| falls finitely often, then the passes
+    act on S[1:, 1:].  A d_i that does not divide a later d_j (0 divides only
+    0) gets row j added to its row; the next pass makes d_i gcd(d_i, d_j), a
+    proper divisor, and keeps the entries before it, so this too repeats
+    finitely often.  Signs are fixed last, and U, V are read off U^-1, V^-1 by
+    ``unimodular_inverse``.  Deterministic for a fixed input.
     """
     m, n = _shape(rows)
     if not any(map(any, rows)):
         raise ValueError("Smith normal form of the zero matrix is not supported")
-    u, s, v = _identity(m), [list(row) for row in rows], _identity(n)
+    uinv, s, vinv = _identity(m), [list(row) for row in rows], _identity(n)
     while True:
         while any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
-            s, _, tinv = hermite(s, inverse=True)  # s = h tinv
-            v = _matmul(tinv, v)
-            s, _, tinv = hermite(_transpose(s), inverse=True)  # s^T = h tinv
-            s, u = _transpose(s), _matmul(u, _transpose(tinv))
+            s, t = hermite(s, transform=True)  # s -> s t
+            vinv = _matmul(vinv, t)
+            s, t = hermite(_transpose(s), transform=True)  # s -> t^T s
+            s, uinv = _transpose(s), _matmul(_transpose(t), uinv)
         diag = [s[i][i] for i in range(min(m, n))]
         bad = [(i, j) for i, di in enumerate(diag) for j in range(i + 1, len(diag))
                if (diag[j] % di if di else diag[j])]
         if not bad:
             break
         i, j = bad[0]
-        s[i][j] = s[j][j]  # s -> E s adds row j to row i, and u -> u E^-1
-        for row in u:
-            row[j] -= row[i]
+        s[i][j] = s[j][j]  # s -> E s adds row j to row i, and so does uinv -> E uinv
+        uinv[i] = [x + y for x, y in zip(uinv[i], uinv[j])]
     for i, di in enumerate(diag):
         if di < 0:
             s[i][i] = -di
-            for row in u:
-                row[i] = -row[i]
-    return u, s, v
+            uinv[i] = [-x for x in uinv[i]]
+    return unimodular_inverse(uinv), s, unimodular_inverse(vinv)
 
 
 # -- readings of the column reduction ------------------------------------------
@@ -185,7 +176,7 @@ def unimodular_inverse(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     m, n = _shape(rows)
     if m != n:
         raise ValueError("not square")
-    h, t, _ = hermite(rows, transform=True)
+    h, t = hermite(rows, transform=True)
     if not all(row[i] for i, row in enumerate(h)):
         raise ValueError("matrix is singular")
     if any(abs(row[i]) != 1 for i, row in enumerate(h)):
@@ -210,7 +201,7 @@ def rat_solve(a_rows: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction |
     when A is regular: for a singular A, [A | -b] has rank below n or its
     kernel vector has s = 0."""
     n = len(a_rows)
-    h, t, _ = _reduce([[*row, -rhs] for row, rhs in zip(a_rows, b)], n + 1)
+    h, t = _reduce([[*row, -rhs] for row, rhs in zip(a_rows, b)], n + 1)
     *v, s = (row[-1] for row in t)
     if len(pivot_rows(h)) < n or not s:
         return None
@@ -220,7 +211,7 @@ def rat_solve(a_rows: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction |
 def rat_nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[tuple[int, ...]]:
     """Basis of the right nullspace {x : rows @ x = 0}: the primitive integer
     columns of the ``hermite`` transform past the rank."""
-    h, t, _ = _reduce(rows, ncols)
+    h, t = _reduce(rows, ncols)
     return [tuple(row[j] for row in t) for j in range(len(pivot_rows(h)), ncols)]
 
 

@@ -290,7 +290,7 @@ def _hyperplane(points: Sequence[Point], inside: Point) -> tuple[tuple[int, ...]
     (normal, offset) is the primitive kernel vector of the k x (k + 1) matrix
     of rows (p, 1), the last column of its ``hermite`` transform; a zero last
     pivot means the points do not span a hyperplane."""
-    h, t, _ = hermite([[*p, 1] for p in points], transform=True)
+    h, t = hermite([[*p, 1] for p in points], transform=True)
     if not h[-1][-2]:
         raise ValueError("points do not span a hyperplane")
     *normal, offset = (row[-1] for row in t)

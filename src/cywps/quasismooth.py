@@ -189,16 +189,24 @@ def has_ip_property(w: WeightVector) -> bool:
 
     def monomial(i: int, a: int) -> tuple[int, ...]:
         # a degree-w monomial with u_i = a, read back along the memo chain of
-        # the pre-check mask without z_i (each step drops the lowest bit)
+        # the pre-check mask without z_i (each step drops the lowest bit z_j):
+        # the fewest z_j that leave t - u_j w_j reachable by the rest, which is
+        # the top bit of the rest's bitset on the comb t, t - w_j, t - 2 w_j, ...
         u = [0] * n
         u[i], t, mask = a, deg - a * ws[i], full ^ (1 << i)
         while mask:
             low = mask & -mask
             j = low.bit_length() - 1
-            while not memo[mask ^ low] >> t & 1:
-                u[j] += 1
-                t -= ws[j]
             mask ^= low
+            comb, step = 1, ws[j]  # the multiples of w_j up to t, by doubling
+            while step <= t:
+                comb |= comb << step
+                step <<= 1
+            fits = memo[mask] & (comb << t % ws[j]) & ((2 << t) - 1)
+            if not fits:
+                raise InternalError(f"{t} is not reachable along the memo chain")
+            u[j] = (t - fits.bit_length() + 1) // ws[j]
+            t -= u[j] * ws[j]
         return tuple(u)
 
     # the supports along the 2d axes: the exponent of z_i ranges from 0 (the
@@ -219,7 +227,7 @@ def has_ip_property(w: WeightVector) -> bool:
         # the points span R^d iff the last column of their column reduction
         # is nonzero; else the last column of t is a primitive direction they
         # all vanish on
-        reduced, t, _ = hermite(points, transform=True)
+        reduced, t = hermite(points, transform=True)
         if any(row[-1] for row in reduced):
             break
         y = tuple(row[-1] for row in t)

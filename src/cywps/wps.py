@@ -11,11 +11,11 @@ generators v_0, ..., v_d satisfying sum(w_i v_i) = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import EnumerationLimitError, InternalError, NotWellFormedError
-from .exact import as_exact, gcd_fold, hermite
+from .exact import as_exact, hermite, unimodular_inverse
 from .polytope import Facet, Polytope, dual_polytope, hull_with_faces
 
 NEWTON_POINT_LIMIT = 10_000_000
@@ -72,16 +72,14 @@ class WeightVector(_Weights):
 def weight_flags(w: WeightVector) -> tuple[bool, bool]:
     """(well_formed, gorenstein): every d weights coprime; every weight divides w."""
     ws = w.weights
-    well_formed = all(
-        gcd_fold(0, (ws[j] for j in range(len(ws)) if j != i)) == 1 for i in range(len(ws))
-    )
+    well_formed = all(gcd(*ws[:i], *ws[i + 1 :]) == 1 for i in range(len(ws)))
     gorenstein = all(w.degree % wi == 0 for wi in ws)
     return well_formed, gorenstein
 
 
 def subset_gcd(w: WeightVector, members: int) -> int:
     """n_J = gcd(w, w_j for j in J), with J given as a bitmask; n_empty = w."""
-    return gcd_fold(w.degree, (wi for i, wi in enumerate(w.weights) if members >> i & 1))
+    return gcd(w.degree, *(wi for i, wi in enumerate(w.weights) if members >> i & 1))
 
 
 def newton_count(w: WeightVector) -> int:
@@ -151,25 +149,28 @@ def mirror_lattice(w: WeightVector) -> MirrorLattice:
 
     ``hermite`` gives w t = (+-1, 0, ..., 0) (w is primitive), so u -> u t
     maps Z*w onto Z*e_0 and the rows of t without their first entry are the
-    v_i, kept short by its nearest remainders.  Row 0 of t^-1 is +-w, so on
-    w-perp its rows 1..d are coordinates in which pairing with v_i reads off
-    u_i.  For w_0 = 1 every step is a plain column subtraction, t has columns
-    e_0 and e_j - w_j e_0, and v_i = e_i (i >= 1), v_0 = -(w_1, ..., w_d).
-    Fails on non-well-formed vectors, whose generator images are not all
-    primitive.
+    v_i, kept short by its nearest remainders.  Row 0 of t^-1, read off t by
+    ``unimodular_inverse``, is +-w, so on w-perp its rows 1..d are coordinates
+    in which pairing with v_i reads off u_i; det t = +-1 also makes the d x d
+    minors of the v_i coprime, so they span the lattice.  For w_0 = 1 every
+    step is a plain column subtraction, t has columns e_0 and e_j - w_j e_0,
+    and v_i = e_i (i >= 1), v_0 = -(w_1, ..., w_d).  Fails on non-well-formed
+    vectors, whose generator images are not all primitive.
     """
     if not weight_flags(w)[0]:
         raise NotWellFormedError(f"weight vector {w} is not well-formed")
     ws = w.weights
     d = w.dim
-    _, t, tinv = hermite([ws], transform=True, inverse=True)
+    _, t = hermite([ws], transform=True)
     gens = tuple(tuple(r[1:]) for r in t)
-    if not all(gcd_fold(0, (abs(x) for x in g)) == 1 for g in gens):
+    if not all(gcd(*g) == 1 for g in gens):
         raise InternalError("well-formed weights must give primitive generators")
     if any(sum(wi * g[j] for wi, g in zip(ws, gens)) for j in range(d)):
         raise InternalError("generators must satisfy the weight relation")
-    if any(abs(row[i]) != 1 for i, row in enumerate(hermite([list(c) for c in zip(*gens)])[0])):
-        raise InternalError("generators must span the full lattice")
+    try:
+        tinv = unimodular_inverse(t)
+    except ValueError:
+        raise InternalError("generators must span the full lattice") from None
     return MirrorLattice(ws, gens, tuple(tuple(r) for r in tinv[1:]))
 
 

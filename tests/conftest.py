@@ -75,11 +75,11 @@ def fake_mirror_generators(monkeypatch, gens):
 
     real = wps.hermite
 
-    def fake(rows, transform=False, inverse=False):
-        h, t, tinv = real(rows, transform, inverse)
+    def fake(rows, transform=False):
+        h, t = real(rows, transform)
         if transform:
             t = [[row[0], *g] for row, g in zip(t, gens)]
-        return h, t, tinv
+        return h, t
 
     monkeypatch.setattr(wps, "hermite", fake)
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -175,6 +176,32 @@ def test_ip_axis_support_fault_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(qs, "_reachable", only_degree)
     with pytest.raises(InternalError, match="shifted origin"):
         has_ip_property.__wrapped__(WeightVector((1, 1, 1, 1, 1)))
+
+
+def test_ip_axis_read_back_fault_is_an_internal_error(monkeypatch):
+    import cywps.quasismooth as qs
+
+    def nothing_from_nothing(weights, degree, mask, memo):
+        # every nonempty submask reaches every value, the empty mask none
+        for m in range(1, mask + 1):
+            if m & mask == m:
+                memo[m] = (2 << degree) - 1
+        memo[0] = 0
+        return memo[mask]
+
+    monkeypatch.setattr(qs, "_reachable", nothing_from_nothing)
+    with pytest.raises(InternalError, match="memo chain"):
+        has_ip_property.__wrapped__(WeightVector((1, 1, 1, 1, 1)))
+
+
+def test_ip_read_back_is_linear_in_the_degree():
+    # one bitset pass per variable reads the axis monomials back; a pass per
+    # unit of an exponent took about 6 s at this degree, 800,007
+    w = WeightVector((1, 2, 3, 400_000, 400_001))
+    start = time.monotonic()
+    assert not has_ip_property.__wrapped__(w)
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, f"{elapsed:.1f}s over the 2 s budget"
 
 
 def test_ip_axis_supports_refute_without_knapsack(monkeypatch):
