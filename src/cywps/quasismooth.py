@@ -36,8 +36,10 @@ emitted.  Emitted tuples are checked against the full |J| = 1 condition and
 gcd 1 and kept once each; ``is_transverse`` remains the final filter.
 
 The IP and unfiltered censuses scan all partitions, the IP one with weights
-capped at half the degree.  Every census runs ``has_ip_property`` only on
-vectors that are not transverse: transverse implies IP (Skarke, hep-th/9603007).
+capped at half the degree.  Transverse implies IP (Skarke, hep-th/9603007), so
+``has_ip_property`` answers a transverse vector from the theorem and runs the
+certificate hull, ``_ip_certificate``, only on the rest; every census asks
+``has_ip_property`` only about vectors that are not transverse.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ def _reachable(weights: Sequence[int], degree: int, mask: int, memo: dict[int, i
     return bits
 
 
+# mirror_test, check and the census ask it, then has_ip_property again: one computation
+@lru_cache(maxsize=16)
 def is_transverse(w: WeightVector) -> bool:
     """True if some degree-w hypersurface has differential vanishing only at 0."""
     ws = w.weights
@@ -138,6 +142,21 @@ def _knapsack_argmax(ws: Sequence[int], deg: int, direction: Sequence[int]):
 def has_ip_property(w: WeightVector) -> bool:
     """True if the degree-w Newton polytope is d-dimensional with (1, ..., 1)
     strictly interior.
+
+    A weight above half the degree refutes at once, before any reachability
+    set is built.  A transverse vector is IP by Skarke's theorem
+    (hep-th/9603007, "Weight systems for toric Calabi-Yau varieties and
+    reflexivity of Newton polyhedra"), read off the cached ``is_transverse``;
+    only the rest take the certificate hull of ``_ip_certificate``, and the
+    tests check the theorem against that certificate.
+    """
+    if 2 * max(w.weights) > w.degree:
+        return False
+    return is_transverse(w) or _ip_certificate(w)
+
+
+def _ip_certificate(w: WeightVector) -> bool:
+    """The IP-property decided by a certificate, with no appeal to transversality.
 
     Interiority of the all-ones point is decided exactly, through one hull of
     a growing certificate subset of Newton points: the support of the Newton

@@ -35,6 +35,7 @@ from cywps.polytope import (
     normalized_volume,
 )
 from cywps.quasismooth import (
+    _ip_certificate,
     census,
     has_ip_property,
     is_transverse,
@@ -198,15 +199,17 @@ def test_c06_mirror_theorem_suite(ip_sample_d4):
 
 
 def test_c06_mirror_theorem_d4_census(d4_census):
-    # opt-in: the theorem on every C9 record, all four routes agreeing
+    # opt-in: the theorem on every C9 record, all four routes agreeing, and
+    # Skarke's transverse-implies-IP, which verify takes on trust, by certificate
     with Budget("C6 on C9", 1800.0):
         for rec in d4_census:
             w = WeightVector(rec.weights)
+            assert _ip_certificate(w), w
             closed = stringy_mirror_closed(w)
             assert closed.denominator == 1, w
             assert closed == -vafa_double_sum(w) == -rec.chi_orb_formula, w  # (-1)^(d-1), d = 4
             assert closed == stringy_polytope(mirror_lattice(w)), w
-    print(f"C6 extended: the mirror theorem holds on all {len(d4_census)} d=4 records")
+    print(f"C6 extended: the mirror theorem and IP by certificate on all {len(d4_census)} d=4 records")
 
 
 def test_c07_k3_suite(k3_weight_vectors):

@@ -12,6 +12,7 @@ from cywps.errors import InternalError
 from cywps.polytope import hull_with_faces
 from cywps.quasismooth import (
     CensusRecord,
+    _ip_certificate,
     _knapsack_argmax,
     census,
     census_tsv,
@@ -101,7 +102,7 @@ def test_ip_certificate_builds_no_polytope(monkeypatch):
     monkeypatch.setattr(polytope, "hull_with_faces", refuse)
     monkeypatch.setattr(polytope.Polytope, "__init__", refuse)
     for ws, ip in want.items():
-        assert has_ip_property.__wrapped__(WeightVector(ws)) == ip, ws
+        assert _ip_certificate(WeightVector(ws)) == ip, ws
 
 
 def test_ip_certificate_grows_one_hull(monkeypatch):
@@ -126,7 +127,7 @@ def test_ip_certificate_grows_one_hull(monkeypatch):
     for ws in _certificate_cases():
         builds.clear()
         hyperplanes.clear()
-        has_ip_property.__wrapped__(WeightVector(ws))
+        _ip_certificate(WeightVector(ws))
         assert len(builds) <= 1, ws
         assert len(hyperplanes) <= len(ws), ws  # d + 1
 
@@ -175,7 +176,7 @@ def test_ip_axis_support_fault_is_an_internal_error(monkeypatch):
 
     monkeypatch.setattr(qs, "_reachable", only_degree)
     with pytest.raises(InternalError, match="shifted origin"):
-        has_ip_property.__wrapped__(WeightVector((1, 1, 1, 1, 1)))
+        _ip_certificate(WeightVector((1, 1, 1, 1, 1)))
 
 
 def test_ip_axis_read_back_fault_is_an_internal_error(monkeypatch):
@@ -191,17 +192,20 @@ def test_ip_axis_read_back_fault_is_an_internal_error(monkeypatch):
 
     monkeypatch.setattr(qs, "_reachable", nothing_from_nothing)
     with pytest.raises(InternalError, match="memo chain"):
-        has_ip_property.__wrapped__(WeightVector((1, 1, 1, 1, 1)))
+        _ip_certificate(WeightVector((1, 1, 1, 1, 1)))
 
 
 def test_ip_read_back_is_linear_in_the_degree():
     # one bitset pass per variable reads the axis monomials back; a pass per
-    # unit of an exponent took about 6 s at this degree, 800,007
+    # unit of an exponent took about 6 s at this degree, 800,007.  The public
+    # test runs is_transverse first, so the certificate is timed on its own too
     w = WeightVector((1, 2, 3, 400_000, 400_001))
-    start = time.monotonic()
-    assert not has_ip_property.__wrapped__(w)
-    elapsed = time.monotonic() - start
-    assert elapsed < 2.0, f"{elapsed:.1f}s over the 2 s budget"
+    is_transverse.cache_clear()
+    for decide in (has_ip_property.__wrapped__, _ip_certificate):
+        start = time.monotonic()
+        assert not decide(w)
+        elapsed = time.monotonic() - start
+        assert elapsed < 2.0, f"{decide.__name__}: {elapsed:.1f}s over the 2 s budget"
 
 
 def test_ip_axis_supports_refute_without_knapsack(monkeypatch):
@@ -235,7 +239,8 @@ def test_knapsack_argmax_is_the_newton_point_maximum(pairs):
 def test_ip_pool_vectors_are_ip():
     pool = ip_pool()
     assert len(pool) == 3039
-    assert all(has_ip_property(WeightVector.parse(v)) for v in pool)
+    # every pool vector is transverse, so only the certificate proves it here
+    assert all(_ip_certificate(WeightVector.parse(v)) for v in pool)
 
 
 def test_transverse_examples():
@@ -257,12 +262,13 @@ _THEOREM_MAX_DEGREE = {2: 400, 3: 200, 4: 120}
 @example((3, 66))
 @example((4, 120))
 def test_transverse_implies_ip(case):
-    # the census takes IP from this theorem, so the certificate test checks it here
+    # has_ip_property and the census take IP from this theorem, so the
+    # certificate checks it here
     dim, degree = case
     for weights in transverse_candidates(dim, degree):
         w = WeightVector(weights)
         if weight_flags(w)[0] and is_transverse(w):
-            assert has_ip_property(w), weights
+            assert _ip_certificate(w), weights
 
 
 def test_transverse_census_never_runs_ip_test(monkeypatch):
@@ -308,10 +314,49 @@ def test_ip_cache_is_small_and_serves_verify():
     from cywps.euler import mirror_test
 
     has_ip_property.cache_clear()
+    is_transverse.cache_clear()
     mirror_test(WeightVector((1, 2, 3, 4, 5)))
     assert has_ip_property.cache_info().hits >= 2
+    assert is_transverse.cache_info().hits >= 1  # has_ip_property reads mirror_test's answer
     census(3, 30, "ip", jobs=1)
     assert has_ip_property.cache_info().currsize <= 16
+    assert is_transverse.cache_info().currsize <= 16
+
+
+def test_verify_takes_ip_of_transverse_vectors_from_the_theorem(monkeypatch):
+    # a transverse vector needs no knapsack and no certificate hull; an IP
+    # vector that is not transverse builds one hull for mirror_test and both
+    # stringy guards together
+    import cywps.quasismooth as qs
+    from cywps.euler import mirror_test
+
+    knapsacks, builds = [], []
+    real_knapsack, real_hull = qs._knapsack_argmax, qs.BeneathBeyond
+
+    def knapsack_spy(*args):
+        knapsacks.append(args)
+        return real_knapsack(*args)
+
+    def hull_spy(points, start):
+        builds.append(start)
+        return real_hull(points, start)
+
+    monkeypatch.setattr(qs, "_knapsack_argmax", knapsack_spy)
+    monkeypatch.setattr(qs, "BeneathBeyond", hull_spy)
+    pool = sorted(ip_pool())
+    for w in [WeightVector((1, 2, 3, 4, 5)), *map(WeightVector.parse, pool[::700])]:
+        has_ip_property.cache_clear()
+        is_transverse.cache_clear()
+        report = mirror_test(w)
+        assert report.ip and report.transverse and report.methods_agree, w
+    assert len(pool[::700]) == 5
+    assert (knapsacks, builds) == ([], [])
+
+    has_ip_property.cache_clear()
+    is_transverse.cache_clear()
+    report = mirror_test(WeightVector((1, 1, 6, 14, 21)))
+    assert report.ip and not report.transverse and report.chi_str_mirror == 506
+    assert len(builds) == 1
 
 
 def test_census_monotone_in_bound():
