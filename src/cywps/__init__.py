@@ -41,7 +41,7 @@ from .wps import (
     mirror_simplex,
     newton_hull,
     newton_points,
-    subset_gcd,
+    subset_gcds,
     weight_flags,
 )
 
@@ -80,7 +80,7 @@ __all__ = [
     "stringy_mirror_closed",
     "stringy_polytope",
     "stringy_reflexive",
-    "subset_gcd",
+    "subset_gcds",
     "vafa_double_sum",
     "vafa_subset_sum",
     "weight_flags",

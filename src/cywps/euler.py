@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import DomainError, NotIPError
@@ -30,7 +29,7 @@ from .polytope import (
     face_volume,
     fano_classification,
     normalized_volume,
-    simplex_index,
+    simplex_indices,
 )
 from .quasismooth import has_ip_property, is_transverse
 from .wps import (
@@ -39,7 +38,7 @@ from .wps import (
     mirror_lattice,
     newton_hull,
     polar_vertices,
-    subset_gcd,
+    subset_gcds,
     weight_flags,
 )
 
@@ -58,10 +57,9 @@ def vafa_double_sum(w: WeightVector) -> Fraction:
     deg = w.degree
     n = len(ws)
     periods = [deg // math.gcd(deg, wi) for wi in ws]
-    lcms = [1] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        lcms[mask] = math.lcm(lcms[mask ^ low], periods[low.bit_length() - 1])
+    lcms = [1]  # by the bitmask of T: the table doubles with each index
+    for p in periods:
+        lcms += [math.lcm(m, p) for m in lcms]
     counts = [deg // m for m in lcms]
     for i in range(n):
         for mask in range(1 << n):
@@ -70,11 +68,9 @@ def vafa_double_sum(w: WeightVector) -> Fraction:
     # prod_{i in mask} (1 - w / w_i) times prod_i w_i: w_j divides the
     # product over mask - {j}, where it is still a factor
     den = math.prod(ws)
-    product = [den] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        wj = ws[low.bit_length() - 1]
-        product[mask] = product[mask ^ low] // wj * (wj - deg)
+    product = [den]
+    for wj in ws:
+        product += [x // wj * (wj - deg) for x in product]
     total = 0
     items = [(mask, count) for mask, count in enumerate(counts) if count]
     for s_mask, s_count in items:
@@ -95,18 +91,16 @@ def vafa_subset_sum(w: WeightVector) -> SubsetSum:
     ws = w.weights
     deg = w.degree
     d = w.dim
-    numerators = [0] * d
-    for mask in range(1 << (d + 1)):
-        size = mask.bit_count()
-        if size > d - 1:
-            continue
-        n_j = subset_gcd(w, mask)
-        term = n_j * n_j * deg**size
-        for j in range(d + 1):
-            if not mask >> j & 1:
-                term *= ws[j]
-        numerators[size] += -term if size % 2 else term
     den = math.prod(ws)
+    others = [den]  # prod_{j not in J} w_j by the bitmask of J, grown as ``subset_gcds``
+    for wi in ws:
+        others += [x // wi for x in others]
+    numerators = [0] * d
+    for mask, (n_j, rest) in enumerate(zip(subset_gcds(w), others)):
+        size = mask.bit_count()
+        if size < d:
+            term = n_j * n_j * deg**size * rest
+            numerators[size] += -term if size % 2 else term
     partials = tuple(Fraction(n, den) for n in numerators)
     return SubsetSum(Fraction(sum(numerators), den * deg), partials)
 
@@ -122,19 +116,15 @@ def stringy_mirror_closed(w: WeightVector) -> Fraction:
         raise NotIPError(f"weight vector {w} lacks the IP-property")
     ws = w.weights
     deg = w.degree
-    d = w.dim
-    full = (1 << (d + 1)) - 1
+    product = [1]  # prod_{i in J} w_i by the bitmask of J, grown as ``subset_gcds``
+    for wi in ws:
+        product += [x * wi for x in product]
     total = 0
-    for mask in range(1 << (d + 1)):
+    for mask, (n_c, w_mask) in enumerate(zip(reversed(subset_gcds(w)), product)):  # n_Jbar
         size = mask.bit_count()
-        if size < 2:
-            continue
-        n_c = subset_gcd(w, full ^ mask)
-        term = n_c * n_c * deg ** (d + 1 - size)
-        for i in range(d + 1):
-            if mask >> i & 1:
-                term *= ws[i]
-        total += -term if size % 2 else term
+        if size >= 2:
+            term = n_c * n_c * deg ** (len(ws) - size) * w_mask
+            total += -term if size % 2 else term
     return Fraction(total, math.prod(ws) * deg)
 
 
@@ -142,11 +132,11 @@ def stringy_polytope(lattice: MirrorLattice) -> Fraction:
     """Stringy Euler number from the mirror simplex alone:
     sum_{k=1..d} (-1)^(k-1) sum_{dim theta = k} Vol_k(theta) * Vol_{d-k}(pyramid
     over the polar face).  A face conv(v_j : j in S) of a simplex has the polar
-    face conv(m_i : i not in S), so no polytope is built: the ``polar_vertices``
-    are cleared once by the lcm L of their denominators and, as L scales a
-    section's volume by L^(d-k), sign * Vol_k(theta) * simplex_index(L * section)
-    * L^k is summed in integers and divided once by L^d.  The weights enter only
-    through the pairing-checked polar vertices: no n_J or subset gcd.
+    face conv(m_i : i not in S), so no polytope is built.  One ``simplex_indices``
+    walk on the rows (1, v_j) lists each Vol_k(theta) by vertex mask, and one on
+    the pairing-checked ``polar_vertices``, cleared once by the lcm L of their
+    denominators, gives each section conv(0, L m_i : i not in S) times L^(d-k):
+    sign * Vol_k(theta) * index * L^k is summed in integers, divided once by L^d.
 
     Requires the bracket of the dual simplex to be canonical Fano, which for a
     weight vector is exactly the IP-property.
@@ -160,15 +150,14 @@ def stringy_polytope(lattice: MirrorLattice) -> Fraction:
     scaled = list(zip(polar_vertices(lattice), w.weights))  # (w_i * m_i, w_i)
     lcm = math.lcm(*(wi // math.gcd(wi, *wm) for wm, wi in scaled))
     polar = [tuple(x * lcm // wi for x in wm) for wm, wi in scaled]
-    zero = (0,) * d
+    volumes = [0] * (2 << d)
+    for face, volume in simplex_indices([(1, *v) for v in lattice.generators]):
+        volumes[face] = volume
     total = 0
-    for k in range(1, d + 1):
-        sign = 1 if k % 2 else -1
-        for face in combinations(range(d + 1), k + 1):
-            # the pyramid over the polar face of a simplex face is a simplex
-            volume = simplex_index([lattice.generators[j] for j in face])
-            section = simplex_index([zero, *(p for i, p in enumerate(polar) if i not in face)])
-            total += sign * volume * section * lcm**k
+    for off, section in simplex_indices(polar):
+        k = d - off.bit_count()  # volumes[~off] = volumes[full - off], a face of k + 1 vertices
+        if k > 0:  # the pyramid over the polar face of a simplex face is a simplex
+            total += (1 if k % 2 else -1) * volumes[~off] * section * lcm**k
     return Fraction(total, lcm**d)
 
 

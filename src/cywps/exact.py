@@ -6,16 +6,16 @@ rational type is the stdlib ``fractions.Fraction`` (always reduced,
 denominator >= 1), and a matrix is a plain list of rows (``list[list[int]]``
 for the integer routines).
 
-There is one elimination kernel, the unimodular column reduction ``hermite``:
-Euclid's algorithm on each row by column steps of determinant 1, with the
-transform kept on request.  Every other routine is a reading of it.  Over Z:
-determinants, primitive kernel vectors, simplex volumes (the gcd of the
-maximal minors of the edges), the mirror lattice's basis, the unimodular
+There is one elimination kernel, the unimodular column reduction ``hermite``,
+the fold of one row step: Euclid's algorithm on a row by column steps of
+determinant 1, with the transform kept on request.  Every other routine is a
+reading of it.  Over Z: determinants, primitive kernel vectors, simplex
+volumes (the gcd of the edges' maximal minors; of every subset at once, by the
+step on copies of a parent's rows), the mirror lattice's basis, the unimodular
 inverse (the transform's inverse is one) and the Smith normal form.  Over Q,
 on rows cleared of their denominators: the rank is the number of rows that
 take a pivot, a nullspace basis is the transform's columns past the rank, and
-a solution of A x = b is a kernel vector of [A | -b].  ``Fraction`` appears
-only in results.
+a solution of A x = b is a kernel vector of [A | -b], ``Fraction`` only in results.
 """
 
 from __future__ import annotations
@@ -53,6 +53,29 @@ def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def _clear_row(live: list[list[int]], c: int) -> int:
+    """``hermite``'s step on live[0] from column c, on all of ``live``: the pivot, or 0."""
+    pivot_row, n = live[0], len(live[0])
+    while True:  # c stays; Euclid's remainders end the loop
+        p, least = c, 0
+        for j in range(c, n):
+            x = abs(pivot_row[j])
+            if x and (x < least or not least):
+                p, least = j, x
+        if not least:
+            return 0
+        if p != c:
+            for row in live:
+                row[c], row[p] = row[p], -row[c]
+        for j in range(c + 1, n):
+            if pivot_row[j]:  # q = floor(b / a + 1/2) for b, a = row[j], row[c]
+                q = (2 * pivot_row[j] + pivot_row[c]) // (2 * pivot_row[c])
+                for row in live:
+                    row[j] -= q * row[c]
+        if not any(pivot_row[c + 1 :]):
+            return pivot_row[c]
+
+
 def hermite(
     rows: Sequence[Sequence[int]], transform: bool = False
 ) -> tuple[list[list[int]], list[list[int]] | None]:
@@ -63,38 +86,19 @@ def hermite(
     the pivot column c on: the swap (col_c, col_p) -> (col_p, -col_c) moves the
     least nonzero one a into column c, and col_j -= round(b/a) col_c cuts each
     later entry b to its nearest remainder, until the row is zero from c on (no
-    pivot) or nonzero only in column c (its pivot).  Each step has determinant
-    1, so the steps keep the gcd of the k x k minors (Cauchy-Binet), and for
-    k <= n it is |prod h_ii|: Cohen, GTM 138, 2.4.  Remainders of at most |a|/2
-    keep t small.  The columns of t past the last nonzero column of h are a
-    basis of the integer kernel {x in Z^n : A x = 0}, each one primitive.
-    t^-1 is a reading of t, ``unimodular_inverse``.
+    pivot) or nonzero only in column c (its pivot): ``_clear_row``, which
+    leaves the rows above alone, so h[:r] is hermite of the first r rows.  Each
+    step has determinant 1, so it keeps the gcd of the k x k minors
+    (Cauchy-Binet), for k <= n |prod h_ii|: Cohen, GTM 138, 2.4.  Remainders of
+    at most |a|/2 keep t small.  The columns of t past the last nonzero column
+    of h are a basis of the integer kernel {x in Z^n : A x = 0}, each one
+    primitive.  t^-1 is a reading of t, ``unimodular_inverse``.
     """
-    n = len(rows[0]) if rows else 0
     h = [list(r) for r in rows]
-    t = _identity(n) if transform else []
+    t = _identity(len(rows[0])) if transform and rows else []
     c = 0
     for r in range(len(h)):
-        pivot_row, live = h[r], h[r:] + t  # rows above r vanish from column c on
-        while c < n:
-            p, least = c, 0
-            for j in range(c, n):
-                x = abs(pivot_row[j])
-                if x and (x < least or not least):
-                    p, least = j, x
-            if not least:
-                break
-            if p != c:
-                for row in live:
-                    row[c], row[p] = row[p], -row[c]
-            for j in range(c + 1, n):
-                if pivot_row[j]:  # q = floor(b / a + 1/2) for b, a = row[j], row[c]
-                    q = (2 * pivot_row[j] + pivot_row[c]) // (2 * pivot_row[c])
-                    for row in live:
-                        row[j] -= q * row[c]
-            if not any(pivot_row[c + 1 :]):
-                c += 1
-                break
+        c += bool(_clear_row(h[r:] + t, c))  # a pivot moves c on
     return h, t if transform else None
 
 

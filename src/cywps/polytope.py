@@ -36,11 +36,11 @@ point is a vertex when the facets through it meet in it alone.  Normalized
 volumes Vol_k = k! * vol_k have one kernel, ``simplex_index``, which measures
 a lattice simplex: the index of its edge lattice in the saturated lattice of
 its direction span, the gcd of the k x k minors of its edge vectors, read as
-the pivot product of the same column reduction in O(k^2 n) steps.  A
-rational face F is measured as the lattice face lF, its vertices cleared
-once, by the scaling rule Vol_k(F) = Vol_k(lF) / l^k: the integer sum of
-``simplex_index`` over the simplices of its pulling triangulation over the
-face lattice, divided once.
+the pivot product of the same column reduction in O(k^2 n) steps, and by
+``simplex_indices`` on every subset at once, each one row step past its
+parent.  A rational face F is measured as the lattice face lF, its vertices
+cleared once, by the scaling rule Vol_k(F) = Vol_k(lF) / l^k: the integer
+sum of ``simplex_index`` over its pulling triangulation, divided once.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, EnumerationLimitError
 from .exact import (
+    _clear_row,
     as_exact,
     clear_denominators,
     format_rational,
@@ -561,6 +562,24 @@ def simplex_index(points: Sequence[tuple[int, ...]]) -> int:
     base, *rest = points
     h = hermite([[x - b for x, b in zip(v, base)] for v in rest])[0]
     return abs(math.prod(row[i] if i < len(row) else 0 for i, row in enumerate(h)))
+
+
+def simplex_indices(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
+    """(mask, index) for every independent subset S of ``rows``, the index the
+    gcd of rows[S]'s maximal minors: ``simplex_index`` of conv(0, p_S) on rows
+    p, and of conv(p_S) on rows (1, p), as subtracting the first row leaves the
+    edges' minors and integer combinations of them.  Depth-first, a child
+    S + {j} clears row j by ``hermite``'s row step on copies of S's reduced rows
+    from j on, multiplies S's index by its pivot, and skips j's subtree if none."""
+    stack = [(0, 1, 0, rows)]  # mask, index, next pivot column, reduced rows past the mask
+    while stack:
+        mask, index, c, rest = stack.pop()
+        yield mask, index
+        for i in range(len(rest)):
+            live = [list(row) for row in rest[i:]]
+            if pivot := _clear_row(live, c):
+                j = len(rows) - len(rest) + i
+                stack.append((mask | 1 << j, index * abs(pivot), c + 1, live[1:]))
 
 
 def face_volume(p: Polytope, face: Face) -> Fraction:

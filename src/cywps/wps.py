@@ -77,9 +77,12 @@ def weight_flags(w: WeightVector) -> tuple[bool, bool]:
     return well_formed, gorenstein
 
 
-def subset_gcd(w: WeightVector, members: int) -> int:
-    """n_J = gcd(w, w_j for j in J), with J given as a bitmask; n_empty = w."""
-    return gcd(w.degree, *(wi for i, wi in enumerate(w.weights) if members >> i & 1))
+def subset_gcds(w: WeightVector) -> list[int]:
+    """n_J = gcd(w, w_j for j in J) for every J, by its bitmask; n_empty = w."""
+    table = [w.degree]
+    for wi in w.weights:
+        table += [gcd(n, wi) for n in table]
+    return table
 
 
 def newton_count(w: WeightVector) -> int:

@@ -9,7 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from cywps.quasismooth import has_ip_property, iter_weight_partitions
-from cywps.wps import WeightVector, subset_gcd, weight_flags
+from cywps.wps import WeightVector, weight_flags
 
 IP_POOL_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "ip_pool.json")
 NONTRANSVERSE_IP_PATH = os.path.join(os.path.dirname(__file__), "data", "nontransverse_ip.json")
@@ -267,7 +267,7 @@ def reference_stringy_mirror_closed(w):
         if size < 2:
             continue
         comp = full ^ mask
-        n_c = subset_gcd(w, comp)
+        n_c = math.gcd(deg, *(ws[i] for i in range(d + 1) if comp >> i & 1))
         term = Fraction(n_c * n_c)
         for i in range(d + 1):
             if comp >> i & 1:

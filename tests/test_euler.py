@@ -171,6 +171,28 @@ def test_simplex_routes_build_no_hull_and_no_face_lattice(monkeypatch):
         assert calls == []
 
 
+def test_stringy_polytope_row_steps_on_sixteen_ones(monkeypatch):
+    # one walk over the faces and one over the sections, each a row step per
+    # subset, where one hermite reduction per face and per section ran before
+    steps = []
+    real_step = polytope._clear_row
+
+    def step_spy(live, c):
+        steps.append(len(live))
+        return real_step(live, c)
+
+    for ones in (12, 14, 16):
+        w = WeightVector((1,) * ones)
+        lattice = mirror_lattice(w)
+        has_ip_property(w)
+        steps.clear()
+        monkeypatch.setattr(polytope, "_clear_row", step_spy)
+        value = stringy_polytope(lattice)
+        monkeypatch.undo()
+        assert value == stringy_mirror_closed(w)
+        assert 1 << (w.dim + 1) < len(steps) <= 1 << (w.dim + 2)
+
+
 def test_stringy_reflexive_examples():
     w = WeightVector((1, 1, 6, 14, 21))
     hull = newton_hull(mirror_lattice(w))

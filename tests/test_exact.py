@@ -275,6 +275,17 @@ def test_hermite_pivots_are_the_minor_gcd(rows):
     assert hermite(rows)[0] == h
 
 
+@settings(max_examples=150, deadline=None)
+@given(_wide_int_matrices())
+@example([[0, 0, 0], [1, 2, 3], [2, 4, 6]])
+def test_hermite_prefix_is_the_hermite_of_the_prefix(rows):
+    # the row step leaves the rows above alone, so the subset walk of
+    # ``polytope.simplex_indices`` may extend a parent's reduction by one row
+    h = hermite(rows)[0]
+    for k in range(len(rows) + 1):
+        assert hermite(rows[:k])[0] == h[:k]
+
+
 def test_hermite_weight_row_with_unit_first_weight_is_pinned():
     # w_0 = 1 divides every entry, so every step is a plain column subtraction
     _, t = hermite([[1, 1, 2, 3]], transform=True)

@@ -28,6 +28,7 @@ from cywps.polytope import (
     normal_cone_section,
     normalized_volume,
     simplex_index,
+    simplex_indices,
 )
 from cywps.wps import WeightVector, dual_simplex, mirror_lattice, mirror_simplex
 from conftest import (
@@ -532,6 +533,42 @@ def volume_by_snf(poly, face):
         edges = [[x - y for x, y in zip(coords[u], b)] for u in simplex[1:]]
         total += abs(reference_det(edges))
     return Fraction(total, scale**face.dim)
+
+
+@st.composite
+def _integer_point_lists(draw):
+    """1-8 integer points in dimension 1-6; some repeat an earlier point or
+    are an affine combination of two earlier ones."""
+    dim = draw(st.integers(1, 6))
+    pts = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "affine"]))
+        if kind == "repeat" and pts:
+            pts.append(draw(st.sampled_from(pts)))
+        elif kind == "affine" and len(pts) > 1:
+            u, v = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+            a = draw(st.integers(-2, 2))
+            pts.append(tuple(x + a * (y - x) for x, y in zip(u, v)))
+        else:
+            pts.append(tuple(draw(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim))))
+    return pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_point_lists())
+@example([(0, 0), (1, 0), (0, 1), (1, 1)])
+@example([(3,), (3,), (5,)])
+@example([(0, 0, 0), (2, 4, 6), (1, 2, 3)])
+def test_simplex_indices_walk_matches_simplex_index(pts):
+    # the walk on rows (1, p) measures conv(p_S) and on rows p conv(0, p_S), on every subset
+    zero = (0,) * len(pts[0])
+    affine = dict(simplex_indices([(1, *p) for p in pts]))
+    based = dict(simplex_indices(pts))
+    assert affine[0] == based[0] == 1
+    for mask in range(1, 1 << len(pts)):
+        subset = [p for i, p in enumerate(pts) if mask >> i & 1]
+        assert affine.get(mask, 0) == simplex_index(subset), (pts, mask)
+        assert based.get(mask, 0) == simplex_index([zero, *subset]), (pts, mask)
 
 
 @settings(max_examples=60, deadline=None)

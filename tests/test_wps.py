@@ -16,7 +16,7 @@ from cywps.wps import (
     newton_count,
     newton_hull,
     newton_points,
-    subset_gcd,
+    subset_gcds,
     weight_flags,
 )
 from conftest import fake_mirror_generators, ip_pool, random_well_formed, reference_det
@@ -45,10 +45,13 @@ def test_weight_flags_examples():
 
 def test_subset_gcd_examples():
     w = WeightVector((1, 2, 3, 4, 5))
-    assert subset_gcd(w, 0) == 15
-    assert subset_gcd(w, 1 << 2) == 3
-    w2 = WeightVector((1, 1, 2, 4, 8))
-    assert subset_gcd(w2, 1 << 4) == 8
+    n_j = subset_gcds(w)
+    assert len(n_j) == 1 << 5
+    assert n_j[0] == 15
+    assert n_j[1 << 2] == 3
+    assert subset_gcds(WeightVector((1, 1, 2, 4, 8)))[1 << 4] == 8
+    for mask, n in enumerate(n_j):
+        assert n == math.gcd(w.degree, *(wi for i, wi in enumerate(w.weights) if mask >> i & 1))
 
 
 def test_newton_points_cubic_against_brute_force():
