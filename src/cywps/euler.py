@@ -24,11 +24,10 @@ from .errors import DomainError, NotIPError
 from .exact import format_rational
 from .polytope import (
     Polytope,
-    dual_face,
-    dual_polytope,
     face_volume,
     fano_classification,
     normalized_volume,
+    polar_volume,
     simplex_indices,
 )
 from .quasismooth import has_ip_property, is_transverse
@@ -163,38 +162,36 @@ def stringy_polytope(lattice: MirrorLattice) -> Fraction:
 
 def stringy_reflexive(delta: Polytope) -> Fraction:
     """Stringy Euler number of a Calabi-Yau hypersurface from a reflexive
-    polytope: sum_{k=1..d-2} (-1)^(k-1) sum Vol_k(theta) * Vol_{d-k-1}(theta*)."""
+    polytope: sum_{k=1..d-2} (-1)^(k-1) sum Vol_k(theta) * Vol_{d-k-1}(theta*),
+    each polar face theta* measured on delta's own face lattice (``polar_volume``)."""
     if not (delta.is_full_dimensional and delta.is_lattice and delta.origin_interior()):
         raise DomainError("reflexive lattice polytope with interior origin required")
     if any(f.offset != 1 for f in delta.facets):
         raise DomainError("polytope is not reflexive (dual is not a lattice polytope)")
-    dual = dual_polytope(delta)
-    d = delta.dim
     total = Fraction(0)
-    for k in range(1, d - 1):
+    for k in range(1, delta.dim - 1):
         sign = 1 if k % 2 else -1
         for face in delta.faces(k):
-            polar = dual_face(delta, dual, face)
-            total += sign * face_volume(delta, face) * face_volume(dual, polar)
+            total += sign * face_volume(delta, face) * polar_volume(delta, face)
     return total
 
 
 def k3_identity(delta: Polytope) -> Fraction:
     """Residual of the K3 volume identity
     24 = Vol_3 - sum_facets Vol_2/n + sum_edges Vol_1 * Vol_1(polar)
-    for a 3-dimensional almost-reflexive lattice polytope (0 means it holds)."""
+    for a 3-dimensional almost-reflexive lattice polytope (0 means it holds);
+    each polar edge is measured by ``polar_volume`` on delta's own face lattice."""
     if delta.ambient_dim != 3 or delta.dim != 3:
         raise DomainError("a 3-dimensional polytope is required")
     flags = fano_classification(delta)
     if not (flags.canonical and flags.almost_pseudoreflexive):
         raise DomainError("polytope is not almost reflexive")
-    dual = dual_polytope(delta)
     rhs = normalized_volume(delta)
     for face in delta.faces(2):
         distance = delta.facets[face.facet_ids[0]].offset
         rhs -= face_volume(delta, face) / distance
     for face in delta.faces(1):
-        rhs += face_volume(delta, face) * face_volume(dual, dual_face(delta, dual, face))
+        rhs += face_volume(delta, face) * polar_volume(delta, face)
     return Fraction(24) - rhs
 
 

@@ -33,22 +33,22 @@ every later piece, a horizon ridge joined to the new point, takes it from the
 pencil of the two pieces on that ridge, an integer combination divided by its
 gcd (Edelsbrunner, Algorithms in Combinatorial Geometry, 1987, 8.4).  A hull
 point is a vertex when the facets through it meet in it alone.  Normalized
-volumes Vol_k = k! * vol_k have one kernel, ``simplex_index``, which measures
-a lattice simplex: the index of its edge lattice in the saturated lattice of
-its direction span, the gcd of the k x k minors of its edge vectors, read as
-the pivot product of the same column reduction in O(k^2 n) steps, and by
-``simplex_indices`` on every subset at once, each one row step past its
-parent.  A rational face F is measured as the lattice face lF, its vertices
-cleared once, by the scaling rule Vol_k(F) = Vol_k(lF) / l^k: the integer
-sum of ``simplex_index`` over its pulling triangulation, divided once.
+volumes Vol_k = k! * vol_k measure a lattice simplex by the index of its edge
+lattice in the saturated lattice of its span, the gcd of the edges' k x k
+minors: the pivot product of the same column reduction, one row step a vertex,
+grown over every vertex subset by ``simplex_indices`` and down the chains of
+faces of a pulling triangulation by ``_pulling_index``.  A rational face F is
+measured as lF, its vertices cleared once: Vol_k(F) = Vol_k(lF) / l^k.  The
+face of the polar dual polar to F is measured on the same face lattice read
+upward, so no dual polytope is built for a volume.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import attrgetter, mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, EnumerationLimitError
 from .exact import (
@@ -131,7 +131,6 @@ class Polytope:
         self.facets: tuple[Facet, ...] = tuple(fs)
         self._chart = chart
         self._faces: dict[int, tuple[Face, ...]] | None = None
-        self._triangulations: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     # -- basics ---------------------------------------------------------------
 
@@ -221,24 +220,10 @@ class Polytope:
         vset = set(face.vertex_ids)
         return tuple(f for f in self.faces(face.dim - 1) if set(f.vertex_ids) <= vset)
 
-    def _triangulate(self, face: Face) -> list[tuple[int, ...]]:
-        """Pulling triangulation of a face into simplices (tuples of vertex ids)."""
-        key = face.vertex_ids
-        memo = self._triangulations
-        if key in memo:
-            return memo[key]
-        if len(face.vertex_ids) == face.dim + 1:
-            memo[key] = [face.vertex_ids]
-            return memo[key]
-        apex = face.vertex_ids[0]
-        simplices = []
-        for child in self.subfaces(face):
-            if apex in child.vertex_ids:
-                continue
-            for s in self._triangulate(child):
-                simplices.append((apex,) + s)
-        memo[key] = simplices
-        return simplices
+    def superfaces(self, face: Face) -> tuple[Face, ...]:
+        """Faces of one dimension higher containing ``face``."""
+        vset = set(face.vertex_ids)
+        return tuple(f for f in self.faces(face.dim + 1) if vset <= set(f.vertex_ids))
 
     def dump(self) -> str:
         """Vertex dump, one vertex per line, space-separated rationals."""
@@ -456,17 +441,6 @@ def dual_polytope(p: Polytope) -> Polytope:
     return Polytope(d, d, dual_vertices, facets)
 
 
-def dual_face(p: Polytope, dual: Polytope, face: Face) -> Face:
-    """The face of ``dual`` polar to ``face`` of ``p`` (dimension d - k - 1)."""
-    coords = {p.facets[j].polar_vertex() for j in face.facet_ids}
-    want = tuple(sorted(i for i, v in enumerate(dual.vertices) if v in coords))
-    k = p.dim - face.dim - 1
-    for g in dual.faces(k):
-        if g.vertex_ids == want:
-            return g
-    raise ValueError("no polar face found; polytope data inconsistent")
-
-
 # -- lattice points ----------------------------------------------------------------
 
 
@@ -555,19 +529,10 @@ def bracket(p: Polytope) -> Polytope:
 # -- volumes ----------------------------------------------------------------------
 
 
-def simplex_index(points: Sequence[tuple[int, ...]]) -> int:
-    """Vol_k of a lattice simplex: the index of its k edges' lattice in the
-    saturated lattice of their span, the gcd of their k x k minors, read as
-    |prod h_ii| of their ``hermite``; affinely dependent points measure 0."""
-    base, *rest = points
-    h = hermite([[x - b for x, b in zip(v, base)] for v in rest])[0]
-    return abs(math.prod(row[i] if i < len(row) else 0 for i, row in enumerate(h)))
-
-
 def simplex_indices(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
     """(mask, index) for every independent subset S of ``rows``, the index the
-    gcd of rows[S]'s maximal minors: ``simplex_index`` of conv(0, p_S) on rows
-    p, and of conv(p_S) on rows (1, p), as subtracting the first row leaves the
+    gcd of rows[S]'s maximal minors: Vol of conv(0, p_S) on rows p, and of
+    conv(p_S) on rows (1, p), as subtracting the first row leaves the
     edges' minors and integer combinations of them.  Depth-first, a child
     S + {j} clears row j by ``hermite``'s row step on copies of S's reduced rows
     from j on, multiplies S's index by its pivot, and skips j's subtree if none."""
@@ -582,15 +547,52 @@ def simplex_indices(rows: Sequence[Sequence[int]]) -> Iterator[tuple[int, int]]:
                 stack.append((mask | 1 << j, index * abs(pivot), c + 1, live[1:]))
 
 
+def _pulling_index(face: Face, k: int, rows: dict, ids: Callable, children: Callable) -> int:
+    """Vol_k of the k-polytope with a row (1, v) per id of ``face``, summed over
+    its pulling triangulation: a simplex joins the apexes (first ids) of a chain
+    of faces, each a child of the last that misses its apex.  A link clears its
+    apex's row by ``hermite``'s row step on copies of the rows, multiplies the
+    index by the pivot and hands the rest, past that column, to those children;
+    a simplex, k + 1 ids, folds its rows in turn.  ``ids`` and ``children`` read
+    the face lattice down (``vertex_ids``, ``subfaces``) or up (``facet_ids``,
+    ``superfaces``: the polar face)."""
+    members = ids(face)
+    live = [list(rows[i]) for i in members]
+    if len(members) == k + 1:
+        return abs(math.prod(_clear_row(live[r:], r) for r in range(k + 1)))
+    pivot = abs(_clear_row(live, 0))
+    below = {i: row[1:] for i, row in zip(members[1:], live[1:])}
+    return pivot * sum(
+        _pulling_index(child, k - 1, below, ids, children)
+        for child in children(face)
+        if members[0] not in ids(child)
+    )
+
+
 def face_volume(p: Polytope, face: Face) -> Fraction:
     """Normalized volume Vol_k of a face, relative to span(face) intersect Z^n:
-    its vertices cleared once to l * vertices, ``simplex_index`` summed over
-    its pulling triangulation in an int, and divided once by l^k, as
+    its vertices cleared once to l * vertices, the ``_pulling_index`` of the
+    rows (1, l * v) down the face lattice, divided once by l^k, as
     Vol_k(S) = Vol_k(lS) / l^k; a vertex measures 1."""
     l, cleared = _cleared([p.vertices[i] for i in face.vertex_ids])
-    at = dict(zip(face.vertex_ids, cleared))
-    total = sum(simplex_index([at[i] for i in s]) for s in p._triangulate(face))
-    return Fraction(total, l**face.dim)
+    rows = {i: (1, *v) for i, v in zip(face.vertex_ids, cleared)}
+    index = _pulling_index(face, face.dim, rows, attrgetter("vertex_ids"), p.subfaces)
+    return Fraction(index, l**face.dim)
+
+
+def polar_volume(p: Polytope, face: Face) -> Fraction:
+    """Vol_{d-k-1} of the face polar to a proper k-face, the hull of the polar
+    vertices normal_j / offset_j of its facets j, read upward on p's own face
+    lattice: with l the lcm of those offsets' numerators, the ``_pulling_index``
+    of the rows (1, normal_j * den_j * (l / num_j)), over l^(d-k-1)."""
+    if not p.origin_interior() or face.dim == p.dim:
+        raise DomainError("polar volume requires the origin strictly interior and a proper face")
+    offsets = {j: p.facets[j].offset for j in face.facet_ids}
+    l = math.lcm(*(off.numerator for off in offsets.values()))
+    scale = {j: off.denominator * (l // off.numerator) for j, off in offsets.items()}
+    rows = {j: (1, *(c * scale[j] for c in p.facets[j].normal)) for j in scale}
+    k = p.dim - face.dim - 1
+    return Fraction(_pulling_index(face, k, rows, attrgetter("facet_ids"), p.superfaces), l**k)
 
 
 def normalized_volume(p: Polytope) -> Fraction:

@@ -13,6 +13,7 @@ from cywps.wps import WeightVector, weight_flags
 
 IP_POOL_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "ip_pool.json")
 NONTRANSVERSE_IP_PATH = os.path.join(os.path.dirname(__file__), "data", "nontransverse_ip.json")
+NEWTON_CHI_PATH = os.path.join(os.path.dirname(__file__), "data", "nontransverse_newton_chi.json")
 
 # ``pytest --hypothesis-profile=timing``: every run draws the same examples, so
 # tier-1 wall times of two trees can be compared; the default profile is unchanged
@@ -31,6 +32,14 @@ def nontransverse_ip() -> dict[str, str]:
     """Every well-formed IP weight vector that is not transverse, with d = 4 and
     weights <= 9 or d = 5 and weights <= 6, mapped to its orbifold Euler number."""
     with open(NONTRANSVERSE_IP_PATH, encoding="ascii") as fh:
+        return json.load(fh)
+
+
+def nontransverse_newton_chi() -> dict[str, str | None]:
+    """The same vectors mapped to the stringy Euler number of the Calabi-Yau
+    hypersurface of their Newton polytope, ``stringy_reflexive(newton_hull(...))``,
+    or to null when that polytope is not reflexive."""
+    with open(NEWTON_CHI_PATH, encoding="ascii") as fh:
         return json.load(fh)
 
 

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -31,6 +32,7 @@ from cywps.wps import (
 from conftest import (
     ip_pool,
     nontransverse_ip,
+    nontransverse_newton_chi,
     random_well_formed,
     reference_stringy_mirror_closed,
     reference_vafa_double_sum,
@@ -204,6 +206,53 @@ def test_stringy_reflexive_examples():
     assert stringy_reflexive(tri) == 0
     with pytest.raises(DomainError):
         stringy_reflexive(mirror_simplex(mirror_lattice(WeightVector((1, 1, 2, 4, 5)))))
+
+
+def test_polar_faces_are_measured_on_the_primal_face_lattice(monkeypatch):
+    # each polar face is read off delta's own face lattice, so neither route
+    # builds the dual polytope's lattice, and stringy_reflexive no dual at all
+    calls = []
+    real_faces = polytope.Polytope._build_face_lattice
+    real_dual = polytope.dual_polytope
+
+    def faces_spy(self):
+        calls.append("face lattice")
+        return real_faces(self)
+
+    def dual_spy(p):
+        calls.append("dual")
+        return real_dual(p)
+
+    monkeypatch.setattr(polytope.Polytope, "_build_face_lattice", faces_spy)
+    for module in (polytope, euler):
+        if hasattr(module, "dual_polytope"):
+            monkeypatch.setattr(module, "dual_polytope", dual_spy)
+    hull = newton_hull(mirror_lattice(WeightVector((1, 1, 6, 14, 21))))
+    calls.clear()
+    assert stringy_reflexive(hull) == -504
+    assert calls == ["face lattice"]
+    simplex = mirror_simplex(mirror_lattice(WeightVector((1, 1, 1, 1))))
+    calls.clear()
+    assert k3_identity(simplex) == 0
+    assert calls.count("face lattice") == 1
+
+
+def test_newton_hypersurface_chi_pinned():
+    # the pinned chi_str of every Newton hypersurface: a 40-vector draw, all
+    # 430 with CYWPS_EXTENDED=1
+    pinned = nontransverse_newton_chi()
+    assert pinned.keys() == nontransverse_ip().keys()
+    assert sum(v is not None for v in pinned.values()) == 367
+    keys = sorted(pinned)
+    if not os.environ.get("CYWPS_EXTENDED"):
+        keys = random.Random(27).sample(keys, 40)
+    for key in keys:
+        hull = newton_hull(mirror_lattice(WeightVector.parse(key)))
+        try:
+            chi = format_rational(stringy_reflexive(hull))
+        except DomainError:
+            chi = None
+        assert chi == pinned[key], key
 
 
 def test_k3_identity_quartic_and_errors():

@@ -27,12 +27,13 @@ from cywps.polytope import (
     lattice_points,
     normal_cone_section,
     normalized_volume,
-    simplex_index,
+    polar_volume,
     simplex_indices,
 )
-from cywps.wps import WeightVector, dual_simplex, mirror_lattice, mirror_simplex
+from cywps.wps import WeightVector, dual_simplex, mirror_lattice, mirror_simplex, newton_hull
 from conftest import (
     ip_pool,
+    nontransverse_ip,
     random_well_formed,
     reference_det,
     reference_inverse,
@@ -281,6 +282,18 @@ def test_dual_requires_interior_origin():
         dual_polytope(shifted)
 
 
+def test_polar_volume_requires_interior_origin_and_a_proper_face():
+    # with the origin on a facet, that facet's offset numerator 0 leaves no lcm to scale by
+    for shifted in (hull_with_faces([(1, 1), (2, 1), (1, 2)]), hull_with_faces([(0, 0), (1, 0), (0, 1)])):
+        for face in shifted.faces(0):
+            with pytest.raises(DomainError):
+                polar_volume(shifted, face)
+    tri = hull_with_faces([(1, 0), (0, 1), (-1, -1)])
+    assert [polar_volume(tri, face) for face in tri.faces(0)] == [3, 3, 3]
+    with pytest.raises(DomainError):
+        polar_volume(tri, tri.top_face)
+
+
 def test_dual_involution_and_hull_consistency():
     w = WeightVector((1, 1, 2, 4, 5))
     poly = mirror_simplex(mirror_lattice(w))
@@ -507,11 +520,88 @@ def test_lower_dimensional_contains_matches_hull(pts, combos, axis, shift):
         assert not poly.contains(q, strict=True)
 
 
+def polar_volume_by_coordinates(poly, dual, face):
+    """Vol of the polar face by coordinates: the face of the built ``dual``
+    polar to ``face`` is found by its vertices, the polar vertices of the
+    facets through ``face``, and measured by ``face_volume``."""
+    polar = {poly.facets[j].polar_vertex() for j in face.facet_ids}
+    want = tuple(i for i, v in enumerate(dual.vertices) if v in polar)
+    (match,) = [g for g in dual.faces(poly.dim - face.dim - 1) if g.vertex_ids == want]
+    return face_volume(dual, match)
+
+
+def _newton(key):
+    return newton_hull(mirror_lattice(WeightVector.parse(key)))
+
+
+def _simplex_of(key):
+    return mirror_simplex(mirror_lattice(WeightVector.parse(key)))
+
+
+def _centred(pts):
+    """The hull of ``pts`` moved by minus their mean, which lies inside when
+    the hull is full-dimensional, as every point has a positive weight."""
+    mean = [sum(c) / len(pts) for c in zip(*pts)]
+    return hull_with_faces([tuple(x - m for x, m in zip(p, mean)) for p in pts])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(sorted(nontransverse_ip())).map(_newton),
+        st.sampled_from(sorted(ip_pool())).map(_simplex_of),
+        rational_point_sets().map(_centred).filter(lambda poly: poly.is_full_dimensional),
+    )
+)
+@example(_newton("1,1,6,14,21"))
+@example(_simplex_of("1,1,2,4,5"))
+@example(_centred([(Fraction(2, 3), 0, 0), (0, Fraction(1, 2), 0), (0, 0, 1), (-1, -1, 0), (0, 0, -2)]))
+def test_polar_volume_matches_the_dual_by_coordinates(poly):
+    # Newton hulls and mirror simplices (the k3_identity path) have integer
+    # offsets, the simplices' polar vertices denominators; centred rational
+    # hulls have fractional offsets; every proper face is measured both ways
+    dual = dual_polytope(poly)
+    for k in range(poly.dim):
+        for face in poly.faces(k):
+            assert polar_volume(poly, face) == polar_volume_by_coordinates(poly, dual, face), face
+
+
+def pulling_triangulation(poly, face):
+    """Simplices (tuples of vertex ids) of the pulling triangulation of a face,
+    read off ``poly.faces``: the first vertex joined to the triangulations of
+    the facets of the face that miss it."""
+    if len(face.vertex_ids) == face.dim + 1:
+        return [face.vertex_ids]
+    apex = face.vertex_ids[0]
+    children = [
+        g for g in poly.faces(face.dim - 1)
+        if set(g.vertex_ids) <= set(face.vertex_ids) and apex not in g.vertex_ids
+    ]
+    return [(apex, *s) for g in children for s in pulling_triangulation(poly, g)]
+
+
+def simplex_index(points):
+    """Vol_k of a lattice simplex by its definition: the gcd of the k x k
+    minors of its edge vectors, each a ``reference_det``, read until it is 1;
+    0 when the points are affinely dependent, 1 for a point (the empty minor)."""
+    base, *rest = points
+    edges = [[x - b for x, b in zip(p, base)] for p in rest]
+    if edges and reference_rank(edges) < len(edges):
+        return 0
+    index = 0
+    for cols in combinations(range(len(base)), len(edges)):
+        index = math.gcd(index, int(reference_det([[row[c] for c in cols] for row in edges])))
+        if index == 1:
+            break
+    return index
+
+
 def volume_by_snf(poly, face):
     """Vol_k of a face by an independent route: coordinates of the cleared
     vertices in a basis of the saturated lattice of the face direction span,
     read off the reference Smith normal form of the tests, then one
-    determinant per simplex; it shares no code with ``simplex_index``."""
+    determinant per simplex of ``pulling_triangulation``; it shares no code
+    with the volume walk of the package."""
     if face.dim == 0:
         return Fraction(1)
     verts = [poly.vertices[i] for i in face.vertex_ids]
@@ -528,7 +618,7 @@ def volume_by_snf(poly, face):
         assert not any(full[k:]), "direction outside saturated span"
         coords[vid] = full[:k]
     total = 0
-    for simplex in poly._triangulate(face):
+    for simplex in pulling_triangulation(poly, face):
         b = coords[simplex[0]]
         edges = [[x - y for x, y in zip(coords[u], b)] for u in simplex[1:]]
         total += abs(reference_det(edges))
@@ -584,26 +674,32 @@ def test_face_volumes_match_snf_oracle(pts):
 
 
 def test_oracles_do_not_run_on_the_kernel(monkeypatch):
-    # an oracle that called hermite would move with a defect of it, so every
-    # oracle of these tests has to answer with hermite raising in every module
+    # an oracle that called hermite or its row step would move with a defect of
+    # them, so every oracle of these tests (volume_by_snf with its triangulation,
+    # simplex_index) has to answer with both raising in every module
     poly = hull_with_faces([(0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, Fraction(1, 2)), (2, 0, 1, 3)])
     faces = [face for faces in poly.faces_by_dim.values() for face in faces]
     volumes = [face_volume(poly, face) for face in faces]
     plane = _hyperplane([(1, 0, 0), (0, 2, 0), (0, 0, 3)], (0, 0, 0))
+    tri = hull_with_faces([(0, 0), (2, 0), (0, 2)])
 
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle ran on hermite")
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cywps" and hasattr(module, "hermite"):
-            monkeypatch.setattr(module, "hermite", refuse)
+        for kernel in ("hermite", "_clear_row"):
+            if name.split(".")[0] == "cywps" and hasattr(module, kernel):
+                monkeypatch.setattr(module, kernel, refuse)
     with pytest.raises(AssertionError, match="oracle ran"):
-        face_volume(hull_with_faces([(0, 0), (2, 0), (0, 2)]), Face(2, (0, 1, 2), ()))
+        face_volume(tri, Face(2, (0, 1, 2), ()))
     assert reference_rank([[1, 2, 3], [2, 4, 6], [0, 1, Fraction(1, 2)]]) == 2
     assert reference_det([[2, 1], [1, 1]]) == 1
     assert reference_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     assert [row[i] for i, row in enumerate(reference_snf([[2, 4], [6, 8]])[1])] == [2, 4]
     assert [volume_by_snf(poly, face) for face in faces] == volumes
+    assert simplex_index([(0, 0, 0), (2, 4, 6), (1, 0, 1)]) == 4
+    assert simplex_index([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)]) == 2
+    assert simplex_index([(0, 0), (1, 1), (2, 2)]) == 0
     assert _cofactor_hyperplane([(1, 0, 0), (0, 2, 0), (0, 0, 3)], (0, 0, 0)) == plane
 
 
