@@ -38,8 +38,8 @@ def _emit(payload: dict, fmt: str) -> None:
         print(json.dumps(payload))
     else:
         for key, value in payload.items():
-            if isinstance(value, list):
-                value = "; ".join(str(v) for v in value)
+            if isinstance(value, list):  # weights print as they parse, other lists by "; "
+                value = ("," if key == "weights" else "; ").join(str(v) for v in value)
             print(f"{key}: {value}")
 
 
@@ -48,7 +48,7 @@ def _cmd_check(args) -> int:
     well_formed, gorenstein = weight_flags(w)
     _emit(
         {
-            "weights": list(w.weights) if args.format == "json" else str(w),
+            "weights": list(w.weights),
             "degree": w.degree,
             "well_formed": well_formed,
             "gorenstein": gorenstein,
@@ -63,7 +63,7 @@ def _cmd_check(args) -> int:
 def _cmd_euler(args) -> int:
     w = WeightVector.parse(args.weights)
     payload: dict = {
-        "weights": list(w.weights) if args.format == "json" else str(w),
+        "weights": list(w.weights),
         "degree": w.degree,
         "method": args.method,
     }
@@ -84,7 +84,7 @@ def _cmd_euler(args) -> int:
 def _cmd_stringy(args) -> int:
     w = WeightVector.parse(args.weights)
     payload: dict = {
-        "weights": list(w.weights) if args.format == "json" else str(w),
+        "weights": list(w.weights),
         "degree": w.degree,
         "method": args.method,
     }
@@ -118,10 +118,7 @@ def _cmd_verify(args) -> int:
         simplex = mirror_simplex(mirror_lattice(w))
         with _replacing(args.dump_polytope) as fh:
             fh.write(simplex.dump())
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        _emit(report.to_dict(), "text")
+    _emit(report.to_dict(), args.format)
     return 0 if report.methods_agree else 1
 
 
@@ -202,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--filter", choices=("transverse", "ip", "all"), default="transverse")
-    p.add_argument("--jobs", type=int, default=None, help="workers (default: CYWPS_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="workers (default 1)")
     p.add_argument("--out", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_census)
 

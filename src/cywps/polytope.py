@@ -622,8 +622,9 @@ def fano_classification(p: Polytope) -> FanoFlags:
     if ips != [zero]:
         return FanoFlags(False, False, False, False)
     reflexive = all(f.offset == 1 for f in p.facets)
-    b1 = bracket(dual_polytope(p))
-    almost = b1.is_full_dimensional and interior_lattice_points(b1) == [zero]
+    pts = lattice_points(dual_polytope(p))
+    b1 = hull_with_faces(pts)  # [P*] lies in P*, so its lattice points are pts
+    almost = b1.is_full_dimensional and [q for q in pts if b1.contains(q, strict=True)] == [zero]
     pseudo = False
     if almost:
         b2 = bracket(dual_polytope(b1))

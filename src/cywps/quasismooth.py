@@ -427,27 +427,19 @@ def _census_degree(args: tuple[int, int, str]) -> list[CensusRecord]:
     return out
 
 
-def census_jobs(dim: int, flt: str = "all", jobs: int | None = None) -> int:
-    """The worker count of a census, ``jobs`` else CYWPS_JOBS else 1; raises
-    ValueError, before any enumeration, on every argument ``census`` refuses."""
+def census_jobs(dim: int, flt: str = "all", jobs: int = 1) -> int:
+    """The worker count of a census, ``jobs`` (default 1); raises ValueError,
+    before any enumeration, on every argument ``census`` refuses."""
     if dim not in (2, 3, 4):
         raise ValueError("census supports dimensions 2, 3 and 4")
     if flt not in _FILTERS:
         raise ValueError(f"filter must be one of {_FILTERS}")
-    if jobs is None:
-        env = os.environ.get("CYWPS_JOBS", "1")
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"CYWPS_JOBS must be an integer, got {env!r}") from None
     if jobs < 1:
         raise ValueError(f"census needs at least one worker, got {jobs}")
     return jobs
 
 
-def census(
-    dim: int, max_degree: int, flt: str = "all", jobs: int | None = None
-) -> list[CensusRecord]:
+def census(dim: int, max_degree: int, flt: str = "all", jobs: int = 1) -> list[CensusRecord]:
     """Every well-formed sorted weight vector with degree <= max_degree passing
     the filter, in lexicographic order of the weight tuple.
 
@@ -471,9 +463,7 @@ def census(
     return records
 
 
-def census_tsv(
-    dim: int, max_degree: int, flt: str = "all", jobs: int | None = None
-) -> list[str]:
+def census_tsv(dim: int, max_degree: int, flt: str = "all", jobs: int = 1) -> list[str]:
     """Census in the TSV exchange format, header line first.
 
     The records are computed, and the arguments checked, before any line

@@ -824,6 +824,21 @@ def test_fano_11245():
     assert fano_classification(hull).reflexive
 
 
+def test_fano_scans_the_dual_once(monkeypatch):
+    # [P*]'s interior points are read off the dual's scan: P, P* and [[P*]*] make three
+    simplex = mirror_simplex(mirror_lattice(WeightVector((1, 1, 2, 4, 5))))
+    scanned = []
+
+    def spy(p):
+        scanned.append(p)
+        return lattice_points(p)
+
+    monkeypatch.setattr(polytope, "lattice_points", spy)
+    flags = fano_classification(simplex)
+    assert flags.almost_pseudoreflexive and not flags.reflexive
+    assert len(scanned) == 3
+
+
 def test_fano_degree7_p111112():
     w = WeightVector((1, 1, 1, 1, 1, 2))
     lat = mirror_lattice(w)
