@@ -24,6 +24,19 @@ Pointing at v, last divides (q - 1)(n - v) + last = (q - 2) n + s; at r, it
 divides q v, so q (last - a) and q (n - s); else some n - c.  Each such
 divisor = a (mod q - 1) in range gives v = (last - a) / (q - 1).  For a = 0
 the r case admits every last, so that block is scanned, as are narrow ones.
+Of four, a placed v comes from the divisor slices of the n - c; a forced v
+in block q forces r = n - q v and leaves x >= y, x + y = a + (q - 1) v.
+x's pointer is al v + ga = k x: a constant n - c (x a divisor, k = 1),
+n - v, q v = n - r, or n - y, which x divides iff it divides n - x - y;
+x >= y and x <= v bound k by the block ends.  Then k y = e v + f, and y's
+pointer, one of the same forms be v + de (y | n - x iff y | n - x - y),
+gives y | (e de - be f) / gcd(be, e), v = (k y - f) / e.  That key is 0
+only where x | q v, and there r's pointer (at n - c, v, x or y) gives
+r | (q de + be n) / gcd(be, q), v = (n - r) / q.  At the top (a = 0) with
+x | n the keys are y | n, n - x and 2 x; r at x = y = v / 2 needs r | 3 n.
+Blocks narrower than 8 or than their keys are scanned: d = 3 scans only
+such blocks (all below degree 96), while d = 4's five-free top level still
+scans its largest weight.
 
 Completeness: let T be a tuple with pointers.  Walk T from its largest weight
 down, skipping weights already placed as forced.  At each weight v, if v
@@ -298,6 +311,8 @@ def iter_weight_partitions(
 ) -> Iterator[tuple[int, ...]]:
     """Sorted tuples w_0 <= ... <= w_dim with the given degree and every weight
     at most ``max_weight``, via DFS over descending weights."""
+    if dim < 1:
+        raise ValueError(f"a weight system has dim + 1 >= 2 weights, got dim {dim}")
     slots = dim + 1
 
     def plain(chosen: list[int], remaining: int, max_val: int):
@@ -331,6 +346,8 @@ def transverse_candidates(dim: int, degree: int) -> list[tuple[int, ...]]:
     """Primitive sorted tuples of dim + 1 >= 2 weights with the given degree in
     which every weight has a pointer (it divides degree or degree - w_j for
     some other j), in the order of ``iter_weight_partitions``."""
+    if dim < 1:
+        raise ValueError(f"a weight system has dim + 1 >= 2 weights, got dim {dim}")
     n = degree
     found: set[tuple[int, ...]] = set()
 
@@ -345,6 +362,48 @@ def transverse_candidates(dim: int, degree: int) -> list[tuple[int, ...]]:
         t = tuple(sorted(ws))
         if math.gcd(*t) == 1 and all(any((n - u) % v == 0 for u in (0, *t)) for v in t):
             found.add(t)
+
+    def solved_block(diffs: set[int], a: int, q: int, bot: int, top: int) -> list[list[int]] | None:
+        # four free weights, the largest v forced in [bot, top]: v forces
+        # r = n - q v and leaves x >= y, x + y = a + (q - 1) v.  x's pointer
+        # al v + ga = k x is a constant n - c, n - v, q v = n - r or
+        # n - x - y; y | be v + de, one of the same forms, and e v = k y - f
+        # give y | (e de - be f) / gcd(be, e).  None where the keys outnumber
+        # the block's values
+        lines = {(-1, n), (q, 0), (1 - q, n - a)}
+        forms = lines | {(0, m) for m in diffs}
+        sb, st = a + (q - 1) * bot, a + (q - 1) * top  # x + y at the ends
+        xs = {x for m in diffs for x in between(m, (sb + 1) // 2, min(top, st - 1))}
+        cases = [(1, 0, x) for x in xs]
+        spans = []
+        for al, ga in lines:
+            lb, lt = al * bot + ga, al * top + ga
+            spans.append((al, ga, range(min(-(-lb // bot), -(-lt // top)), max(2 * lb // sb, 2 * lt // st) + 1)))
+        if (len(cases) + sum(len(kr) for _, _, kr in spans)) * len(forms) > top - bot:
+            return None
+        cases += [(k, al, ga) for al, ga, kr in spans for k in kr]
+        block = []
+        for k, al, ga in cases:
+            e, f = k * (q - 1) - al, k * a - ga  # k y = e v + f
+            if e <= 0:  # x = v on x | 2 v, so y = a <= 0
+                continue
+            keys = {(e * de - be * f) // math.gcd(be, e) for be, de in forms}
+            if 0 in keys:
+                # that pointer of y holds for every v (only where x | q v): key
+                # r = n - q v on its own pointer, r | (q de + be n) / gcd(be, q)
+                rforms = {(0, m) for m in diffs} | {(-1, n), (-al, k * n - ga), (-e, k * n - f)}
+                rkeys = {(q * de + be * n) // math.gcd(be, q) for be, de in rforms}
+                lo, hi = n - q * top, n - q * bot
+                vs = {(n - r) // q for m in rkeys for r in between(m, lo, hi) if (n - r) % q == 0}
+            else:
+                lo, hi = max(1, -(-(e * bot + f) // k)), (e * top + f) // k
+                vs = {(k * y - f) // e for m in keys for y in between(abs(m), lo, hi) if (k * y - f) % e == 0}
+            for v in vs:
+                x, rem = divmod(al * v + ga, k)
+                y = a + (q - 1) * v - x
+                if not rem and 1 <= y <= x <= v:
+                    block.append([v, n - q * v, x, y])
+        return block
 
     def grow(fixed: list[int], forced: list[int], free: int, s: int, vmax: int) -> None:
         # fixed: weights chosen or forced so far; the free ones sum to s, each <= vmax
@@ -388,6 +447,25 @@ def transverse_candidates(dim: int, degree: int) -> list[tuple[int, ...]]:
                     if points(r, near, diffs) and points(last, near, diffs):
                         if all(points(u, near) for u in pending):
                             emit(fixed + [w, r, last])
+            return
+        if free == 4:
+            for v in {v for m in diffs for v in between(m, vlo, vhi)}:
+                grow(fixed + [v], forced, 3, s - v, v)
+            a, v = s - n, vhi
+            while v >= vlo:
+                q = n // v
+                blo = max(vlo, n // (q + 1) + 1)
+                top = min(v, (n - 1) // q, -a // (q - 3) if q > 3 else v)  # r >= 1, x + y <= 2 v
+                bot = max(blo, (q - a) // (q - 1))  # x + y >= 2
+                v = blo - 1
+                if top - bot < 8 or (block := solved_block(diffs, a, q, bot, top)) is None:
+                    for w in range(bot, top + 1):
+                        if all(d % w for d in diffs):
+                            r = n - q * w
+                            grow(fixed + [w, r], forced + [r], 2, a + (q - 1) * w, w)
+                else:
+                    for ws in block:
+                        emit(fixed + ws)
             return
         for v in range(vhi, vlo - 1, -1):
             if any(d % v == 0 for d in diffs):

@@ -473,6 +473,14 @@ _SCAN_MAX_DEGREE = {1: 200, 2: 6000, 3: 2500, 4: 1500, 5: 400, 6: 50, 7: 40}
 )
 # the d = 2 top level has a = 0, where the pointer at r leaves the block unsolved
 @example((2, 3237))
+# d = 3 tops solved from divisor keys: x = y = v / 2 with r | 3 n, (2,2,3,4) and
+# (3,4,4,8); x | n with 720's many divisors; prime degrees, where x | n - v,
+# x | q v and x | n - x - y carry every forced tuple
+@example((3, 11))
+@example((3, 19))
+@example((3, 720))
+@example((3, 199))
+@example((3, 997))
 @example((4, 2000))
 @example((5, 400))
 @example((6, 50))
@@ -511,3 +519,56 @@ def test_census_d4_transverse_200_pinned():
     lines = census_tsv(4, 200, "transverse", jobs=1)
     assert len(lines) == 1 + 4405
     assert tsv_digest(lines) == "c58dc5ba01aee547f7873916e3fde445175a2c95a0f39b3b9550ff1f84f4e1b7"
+
+
+def test_four_free_block_solves_the_pointer_cases():
+    # r points at x = y = v / 2, so r | 3 n; x = 2 y; x | n - v; x | n
+    assert (2, 2, 3, 4) in transverse_candidates(3, 11)
+    assert (3, 4, 4, 8) in transverse_candidates(3, 19)
+    assert (3, 4, 5, 7) in transverse_candidates(3, 19)
+    assert (1, 3, 6, 9) in transverse_candidates(3, 19)
+
+
+def test_d3_top_level_reads_its_forced_weight_off_divisor_keys(monkeypatch):
+    # the d = 3 top is a four-free node: its forced v comes from a fixed
+    # number of divisor lookups, not one subproblem per v; the scan took 103
+    # lookups at 199 and 502 at 997
+    import cywps.quasismooth as qs
+
+    raw = qs._divisors.__wrapped__
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return raw(m)
+
+    spy.__wrapped__ = spy  # keys above the degree are counted too
+    monkeypatch.setattr(qs, "_divisors", spy)
+    counts = []
+    for p in (199, 997, 4001):
+        calls.clear()
+        transverse_candidates(3, p)
+        counts.append(len(calls))
+    assert counts[0] <= 20 and counts[0] == counts[1] == counts[2], counts
+
+
+@pytest.mark.parametrize("call", [
+    lambda: transverse_candidates(0, 5),
+    lambda: transverse_candidates(-1, 4),
+    lambda: list(iter_weight_partitions(-1, 4)),
+])
+def test_fewer_than_two_weights_is_refused(call):
+    with pytest.raises(ValueError, match="2 weights"):
+        call()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("bound, digest", [
+    # the bytes of perfbench/data/census_d3_transverse_200.tsv
+    (200, "3c8e94de4efd4b836f0c16d84bd8dd58ea10f2b9eb41cb48100f017f91b9190e"),
+    (1000, "b0dffbb4042ca095de907a14e5a4ec42d3d04585a5d6d72edcb773ec8d001d00"),
+])
+def test_census_d3_transverse_pinned(bound, digest, jobs):
+    lines = census_tsv(3, bound, "transverse", jobs=jobs)
+    assert len(lines) == 1 + 95
+    assert tsv_digest(lines) == digest
