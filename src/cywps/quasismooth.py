@@ -51,8 +51,11 @@ gcd 1 and kept once each; ``is_transverse`` remains the final filter.
 The IP and unfiltered censuses scan all partitions, the IP one with weights
 capped at half the degree.  Transverse implies IP (Skarke, hep-th/9603007), so
 ``has_ip_property`` answers a transverse vector from the theorem and runs the
-certificate hull, ``_ip_certificate``, only on the rest; every census asks
-``has_ip_property`` only about vectors that are not transverse.
+certificate, ``_ip_certificate``, only on the rest; every census asks
+``has_ip_property`` only about vectors that are not transverse.  The
+certificate refutes first by subset counts (a set J of variables with at
+least |J| factors from J in every degree-w monomial), then by the axis
+supports, and only then takes knapsack directions and its hull.
 """
 
 from __future__ import annotations
@@ -160,8 +163,8 @@ def has_ip_property(w: WeightVector) -> bool:
     set is built.  A transverse vector is IP by Skarke's theorem
     (hep-th/9603007, "Weight systems for toric Calabi-Yau varieties and
     reflexivity of Newton polyhedra"), read off the cached ``is_transverse``;
-    only the rest take the certificate hull of ``_ip_certificate``, and the
-    tests check the theorem against that certificate.
+    only the rest take the certificate of ``_ip_certificate``, and the tests
+    check the theorem against that certificate.
     """
     if 2 * max(w.weights) > w.degree:
         return False
@@ -182,9 +185,20 @@ def _ip_certificate(w: WeightVector) -> bool:
     is inserted into that hull.  A support point
     already in the certificate is an ``InternalError``, so every round adds a
     Newton point and the rounds are bounded.
+    Before any knapsack, subset counts refute: for each nonempty J, some
+    degree-w monomial must have at most |J| - 1 factors from J, i.e. the
+    degree must be reachable from the bitset of the other weights in |J| - 1
+    rounds of shifts by the weights of J.  If none has, sum_{j in J} (u_j - 1)
+    >= 0 on every Newton point, with equality at (1, ..., 1), so that
+    hyperplane supports the polytope there.  It is a proper face for every
+    proper J, and for the full set unless all weights are equal: then
+    sum u_j = n on the whole degree hyperplane, and (2, 2, 2) is IP.  J = {i}
+    asks for a monomial avoiding z_i.  The memo holds the bitset of every
+    complement, 2^n - 1 masks of degree + 1 bits each, the table
+    ``is_transverse`` builds.
     Along the 2d coordinate axes the supports, the extreme exponents of each
-    z_i, and a monomial attaining each are read off the reachability bitsets
-    of the pre-check; the knapsack runs only along the other directions.
+    z_i, and a monomial attaining each are read off those reachability
+    bitsets; the knapsack runs only along the other directions.
     (The shifted point is always the unique coordinate-positive lattice point:
     any other would add a non-negative relation among positive weights.)
     """
@@ -197,9 +211,21 @@ def _ip_certificate(w: WeightVector) -> bool:
     d = w.dim
     memo: dict[int, int] = {}
     full = (1 << n) - 1
-    for i in range(n):
-        # necessary: some degree-w monomial avoids variable i
-        if not _reachable(ws, deg, full ^ (1 << i), memo) >> deg & 1:
+    cap = (2 << deg) - 1
+    # necessary: for each J, some degree-w monomial has at most |J| - 1
+    # factors from J; the full set only if the weights differ
+    masks = range(1, full if len(set(ws)) == 1 else full + 1)
+    for mask in sorted(masks, key=int.bit_count):
+        bits = _reachable(ws, deg, full ^ mask, memo)
+        js = [ws[j] for j in range(n) if mask >> j & 1]
+        for _ in range(len(js) - 1):
+            if bits >> deg & 1:
+                break
+            grown = bits
+            for x in js:
+                grown |= bits << x
+            bits = grown & cap
+        if not bits >> deg & 1:
             return False
 
     points: list[tuple[int, ...]] = []
@@ -221,7 +247,7 @@ def _ip_certificate(w: WeightVector) -> bool:
 
     def monomial(i: int, a: int) -> tuple[int, ...]:
         # a degree-w monomial with u_i = a, read back along the memo chain of
-        # the pre-check mask without z_i (each step drops the lowest bit z_j):
+        # the mask without z_i (each step drops the lowest bit z_j):
         # the fewest z_j that leave t - u_j w_j reachable by the rest, which is
         # the top bit of the rest's bitset on the comb t, t - w_j, t - 2 w_j, ...
         u = [0] * n
@@ -241,8 +267,8 @@ def _ip_certificate(w: WeightVector) -> bool:
             t -= u[j] * ws[j]
         return tuple(u)
 
-    # the supports along the 2d axes: the exponent of z_i ranges from 0 (the
-    # pre-check) to the largest a with deg - a * w_i reachable without z_i
+    # the supports along the 2d axes: the exponent of z_i ranges from 0 (J =
+    # {i} above) to the largest a with deg - a * w_i reachable without z_i
     for i in range(1, n):
         without = memo[full ^ (1 << i)]
         top = deg // ws[i]

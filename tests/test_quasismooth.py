@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -64,28 +65,47 @@ _ip_weights = st.sampled_from(((2, 14), (3, 12), (4, 9))).flatmap(
 
 @settings(max_examples=60, deadline=None)
 @given(_ip_weights)
-# refuted by the axis supports alone: z_3 has largest exponent 1, yet no weight
-# exceeds half the degree
+# refuted by subset counts, before any knapsack: some J has at least |J|
+# factors in every monomial (z_3 alone in the first two, every variable in
+# (1,3,3,5))
 @example([2, 3, 3, 7])
 @example([3, 3, 4, 8])
-# decided in rounds along certificate facet normals, with the knapsack
+@example([1, 3, 3, 5])
 @example([1, 5, 8, 10])
 @example([1, 1, 1, 4, 4])
 @example([1, 5, 5, 7, 7])
-@example([1, 1, 1, 4, 5])
 @example([5, 1, 7, 5, 7])
+# the rest by their exit: the axis supports; the spanning loop; hull rounds
+# along certificate facet normals; IP, and IP with equal weights
+@example([2, 5, 7, 11])
+@example([1, 3, 6, 8])
+@example([1, 3, 3, 3, 8])
+@example([1, 1, 5, 7])
+@example([1, 1, 2, 5, 5])
+@example([1, 1, 1, 4, 5])
+@example([2, 2, 2])
 def test_ip_against_full_hull_random(weights):
     w = WeightVector(tuple(weights))
     assert has_ip_property(w) == ip_by_full_hull(w)
+
+
+# one vector per exit of the certificate, as named by _certificate_exit
+_EXITS = {
+    "subset counts": [(2, 3, 3, 7), (3, 3, 4, 8), (1, 3, 3, 5), (1, 5, 8, 10), (1, 1, 1, 4, 4),
+                      (1, 5, 5, 7, 7), (5, 1, 7, 5, 7)],
+    "axis supports": [(2, 5, 7, 11)],
+    "spanning loop": [(1, 3, 6, 8), (1, 3, 3, 3, 8)],
+    "hull rounds": [(1, 1, 5, 7), (1, 1, 2, 5, 5)],
+    "IP": [(1, 1, 1, 4, 5), (2, 2, 2), (3, 3, 3, 3), (1, 1, 1, 1, 1)],
+}
 
 
 def _certificate_cases():
     # the examples of test_ip_against_full_hull_random, the showcase and a
     # seeded draw from the same weight ranges
     rng = random.Random(16)
-    cases = [(2, 3, 3, 7), (3, 3, 4, 8), (1, 5, 8, 10), (1, 1, 1, 4, 4), (1, 5, 5, 7, 7),
-             (1, 1, 1, 4, 5), (5, 1, 7, 5, 7), (1, 2, 3, 4, 5), (1, 1, 1, 1, 1),
-             (1, 1, 6, 14, 21), (1, 1, 2, 4, 5)]
+    cases = [ws for group in _EXITS.values() for ws in group]
+    cases += [(1, 2, 3, 4, 5), (1, 1, 6, 14, 21), (1, 1, 2, 4, 5)]
     for _ in range(40):
         d, top = rng.choice(((2, 14), (3, 12), (4, 9)))
         cases.append(tuple(rng.randint(1, top) for _ in range(d + 1)))
@@ -130,6 +150,80 @@ def test_ip_certificate_grows_one_hull(monkeypatch):
         _ip_certificate(WeightVector(ws))
         assert len(builds) <= 1, ws
         assert len(hyperplanes) <= len(ws), ws  # d + 1
+
+
+def _subset_counts_refute(ws) -> bool:
+    """Some J with at least |J| factors from J in every Newton point, read
+    off the full point list; the full set counts unless all weights agree."""
+    pts = newton_points(WeightVector(ws))
+    n = len(ws)
+    js = [J for k in range(1, n + 1) for J in itertools.combinations(range(n), k)]
+    if len(set(ws)) == 1:
+        js.pop()
+    return any(min(sum(u[j] for j in J) for u in pts) >= len(J) for J in js)
+
+
+def _certificate_exit(ws) -> str:
+    """Where ``_ip_certificate`` decides ws, named by the calls it makes."""
+    import cywps.quasismooth as qs
+
+    calls = []
+
+    def spy(name):
+        real = getattr(qs, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("BeneathBeyond", "_knapsack_argmax", "hermite"):
+            mp.setattr(qs, name, spy(name))
+        ip = _ip_certificate(WeightVector(ws))
+    if ip:
+        return "IP"
+    if "BeneathBeyond" in calls:
+        return "hull rounds"
+    if "hermite" in calls:
+        return "spanning loop"
+    assert not calls, calls
+    return "subset counts" if _subset_counts_refute(ws) else "axis supports"
+
+
+@pytest.mark.parametrize("exit_, ws", [
+    pytest.param(e, ws, id=f"{e}-{','.join(map(str, ws))}") for e, group in _EXITS.items() for ws in group
+])
+def test_ip_certificate_exits(exit_, ws):
+    # subset counts refute with no knapsack and no hull, where the
+    # one-variable pre-check left (1,5,8,10), (1,1,1,4,4), (1,5,5,7,7) and
+    # (5,1,7,5,7) to a hull; equal weights keep the full set out, so (2,2,2)
+    # stays IP
+    assert _certificate_exit(ws) == exit_
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ip_weights)
+def test_subset_counts_refute_before_any_knapsack(weights):
+    # every J the Newton points refute is caught before the knapsack or a
+    # column reduction runs
+    if _subset_counts_refute(weights):
+        assert _certificate_exit(tuple(weights)) == "subset counts"
+
+
+def test_ip_census_d3_builds_few_hulls(monkeypatch):
+    # the subset counts leave 48 hulls and 93 knapsack calls in this census,
+    # where the one-variable pre-check left 211 and 413
+    import cywps.quasismooth as qs
+
+    hulls, knapsacks = [], []
+    real_hull, real_knapsack = qs.BeneathBeyond, qs._knapsack_argmax
+    monkeypatch.setattr(qs, "BeneathBeyond", lambda *a: (hulls.append(a), real_hull(*a))[1])
+    monkeypatch.setattr(qs, "_knapsack_argmax", lambda *a: (knapsacks.append(a), real_knapsack(*a))[1])
+    has_ip_property.cache_clear()
+    is_transverse.cache_clear()
+    assert len(census(3, 30, "ip", jobs=1)) == 76
+    assert len(hulls) <= 60 and len(knapsacks) <= 130, (len(hulls), len(knapsacks))
 
 
 @pytest.mark.parametrize("fault", ["shifted origin", "first maximizer"])
@@ -215,7 +309,8 @@ def test_ip_axis_supports_refute_without_knapsack(monkeypatch):
         raise AssertionError("knapsack ran")
 
     monkeypatch.setattr(qs, "_knapsack_argmax", fail)
-    for ws in ((2, 3, 3, 7), (3, 3, 4, 8)):
+    # subset counts refute the first two before their axis supports
+    for ws in ((2, 3, 3, 7), (3, 3, 4, 8), (2, 5, 7, 11)):
         w = WeightVector(ws)
         assert 2 * max(ws) <= w.degree
         assert not has_ip_property(w)
@@ -512,6 +607,14 @@ def test_ip_census_skips_weights_above_half_degree(monkeypatch):
     assert len(lines) == 1 + 87
     assert tsv_digest(lines) == "2dc0bb009b19a01e131927fc5200f4c640288590d2e91cbc3b677f917345eae8"
     assert seen and all(2 * max(w.weights) <= w.degree for w in seen)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_census_d4_ip_30_pinned(jobs):
+    # pinned from the census whose certificate had only the one-variable pre-check
+    lines = census_tsv(4, 30, "ip", jobs=jobs)
+    assert len(lines) == 1 + 799
+    assert tsv_digest(lines) == "e0178463d0d0b65b9ae10fcf2f59af44f1860dcf21fea6cace255b1f03c13608"
 
 
 def test_census_d4_transverse_200_pinned():
